@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import hensel, oracle
@@ -24,8 +23,8 @@ from .errors import (
     ZeroHasNoExpansion,
 )
 from .number import DEFAULT_PRECISION, Form, PadicNumber
-from .polynomial import PadicPoly, parse_poly
-from .valuation import Prime, padic_norm_rat, padic_val_rat
+from .polynomial import parse_poly
+from .valuation import check_prime, padic_norm_rat, padic_val_rat
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -35,15 +34,15 @@ EXIT_HYPOTHESIS = 5
 EXIT_INTERNAL = 6
 EXIT_DOMAIN = 7
 
-
-@dataclass
-class CliConfig:
-    prime: Prime
-    rel_precision: int = DEFAULT_PRECISION
-    abs_precision: int | None = None
-    json_output: bool = False
-    poly: PadicPoly | None = None
-    rationals: tuple[Fraction, ...] = field(default_factory=tuple)
+# first match wins, so the catch-all parse row comes last
+_EXIT_CODES = (
+    (NotPrime, EXIT_NOT_PRIME),
+    ((HypothesisFailed, DerivativeVanishes), EXIT_HYPOTHESIS),
+    (InternalBoundViolation, EXIT_INTERNAL),
+    (DomainTooLarge, EXIT_DOMAIN),
+    (ZeroHasNoExpansion, EXIT_ZERO_EXPANSION),
+    ((PadicError, ValueError), EXIT_PARSE),
+)
 
 
 def _positive_int(text: str) -> int:
@@ -80,79 +79,70 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = sub.add_parser("val", parents=[prime_flags],
                          help="p-adic valuation of a rational")
     cmd.add_argument("rational")
-    cmd.set_defaults(handler=_cmd_val, needs=("rational",))
+    cmd.set_defaults(handler=_cmd_val)
 
     cmd = sub.add_parser("norm", parents=[prime_flags],
                          help="p-adic norm of a rational")
     cmd.add_argument("rational")
-    cmd.set_defaults(handler=_cmd_norm, needs=("rational",))
+    cmd.set_defaults(handler=_cmd_norm)
 
     cmd = sub.add_parser("digits", parents=[prime_flags, rel_flags],
                          help="digit expansion of a nonzero rational")
     cmd.add_argument("rational")
-    cmd.set_defaults(handler=_cmd_digits, needs=("rational",))
+    cmd.set_defaults(handler=_cmd_digits)
 
     cmd = sub.add_parser("eval", parents=[prime_flags, rel_flags],
                          help="evaluate a polynomial at a p-adic integer")
     cmd.add_argument("--poly", required=True)
     cmd.add_argument("rational")
-    cmd.set_defaults(handler=_cmd_eval, needs=("rational", "poly"))
+    cmd.set_defaults(handler=_cmd_eval)
 
     cmd = sub.add_parser("lift", parents=[prime_flags, abs_flags],
                          help="certified root lifting from a seed")
     cmd.add_argument("--poly", required=True)
     cmd.add_argument("--seed", required=True)
-    cmd.set_defaults(handler=_cmd_lift, needs=("poly",))
+    cmd.set_defaults(handler=_cmd_lift)
 
     cmd = sub.add_parser("oracle", parents=[prime_flags, abs_flags],
                          help="brute-force root enumeration mod p^k")
     cmd.add_argument("--poly", required=True)
-    cmd.set_defaults(handler=_cmd_oracle, needs=("poly",))
+    cmd.set_defaults(handler=_cmd_oracle)
 
     cmd = sub.add_parser("crosscheck", parents=[prime_flags, abs_flags],
                          help="compare ring ops against rational arithmetic")
     cmd.add_argument("--trials", type=_positive_int, default=1000)
     cmd.add_argument("--seed", dest="rng_seed", type=int, default=0)
-    cmd.set_defaults(handler=_cmd_crosscheck, needs=())
+    cmd.set_defaults(handler=_cmd_crosscheck)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    cfg = CliConfig(prime=Prime(args.p), json_output=args.json)
-    cfg.rel_precision = getattr(args, "N", DEFAULT_PRECISION)
-    cfg.abs_precision = getattr(args, "k", None)
-    needs = args.needs
+def _rational(text: str, what: str) -> Fraction:
     try:
-        if "rational" in needs:
-            cfg.rationals = (Fraction(args.rational),)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse rational {args.rational!r}: {exc}")
-    if "poly" in needs:
-        cfg.poly = parse_poly(args.poly, int(cfg.prime))
-    return cfg
+        raise ValueError(f"cannot parse {what} {text!r}: {exc}")
 
 
-def _emit(cfg: CliConfig, payload: dict, text: str):
-    if cfg.json_output:
+def _emit(args: argparse.Namespace, payload: dict, text: str):
+    if args.json:
         print(json.dumps(payload, indent=2))
     else:
         print(text)
 
 
-def _cmd_val(cfg: CliConfig, args) -> int:
-    q = cfg.rationals[0]
-    v = padic_val_rat(cfg.prime, q)
-    _emit(cfg, {"p": int(cfg.prime), "q": str(q), "valuation": v}, str(v))
+def _cmd_val(p: int, args) -> int:
+    q = _rational(args.rational, "rational")
+    v = padic_val_rat(p, q)
+    _emit(args, {"p": p, "q": str(q), "valuation": v}, str(v))
     return EXIT_OK
 
 
-def _cmd_norm(cfg: CliConfig, args) -> int:
-    p = int(cfg.prime)
-    q = cfg.rationals[0]
+def _cmd_norm(p: int, args) -> int:
+    q = _rational(args.rational, "rational")
     norm = padic_norm_rat(p, q)
     if q == 0:
-        _emit(cfg, {"p": p, "q": str(q), "valuation": None,
+        _emit(args, {"p": p, "q": str(q), "valuation": None,
                     "norm": "0", "norm_decimal": 0.0}, "0")
         return EXIT_OK
     v = padic_val_rat(p, q)
@@ -164,7 +154,7 @@ def _cmd_norm(cfg: CliConfig, args) -> int:
     if norm.denominator != 1 and decimal is not None:
         text += f" = {decimal:.6g}"
     _emit(
-        cfg,
+        args,
         {"p": p, "q": str(q), "valuation": v,
          "norm": str(norm), "norm_decimal": decimal},
         text,
@@ -172,12 +162,11 @@ def _cmd_norm(cfg: CliConfig, args) -> int:
     return EXIT_OK
 
 
-def _cmd_digits(cfg: CliConfig, args) -> int:
-    p = int(cfg.prime)
-    x = PadicNumber.from_rational(p, cfg.rationals[0], cfg.rel_precision)
+def _cmd_digits(p: int, args) -> int:
+    x = PadicNumber.from_rational(p, _rational(args.rational, "rational"), args.N)
     expansion = x.digits()  # raises ZeroHasNoExpansion on zero input
     _emit(
-        cfg,
+        args,
         {"p": p, "start": expansion.start,
          "digits": list(expansion.digits), "text": str(expansion)},
         str(expansion),
@@ -185,17 +174,17 @@ def _cmd_digits(cfg: CliConfig, args) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(cfg: CliConfig, args) -> int:
-    p = int(cfg.prime)
-    x = PadicNumber.from_rational(p, cfg.rationals[0], cfg.rel_precision)
-    value = cfg.poly.eval(x)
+def _cmd_eval(p: int, args) -> int:
+    q = _rational(args.rational, "rational")
+    poly = parse_poly(args.poly, p)
+    value = poly.eval(PadicNumber.from_rational(p, q, args.N))
     record = value.to_record()
     payload = dict(record)
     lines = [f"{key}: {record[key]}" for key in record]
     if value.form is Form.UNIT:
         payload["digits"] = list(value.digits().digits)
         lines.append(f"digits: {value}")
-    _emit(cfg, payload, "\n".join(lines))
+    _emit(args, payload, "\n".join(lines))
     return EXIT_OK
 
 
@@ -225,36 +214,31 @@ def _format_certificate(cert: hensel.HenselCertificate) -> str:
     return "\n".join(lines)
 
 
-def _cmd_lift(cfg: CliConfig, args) -> int:
-    try:
-        seed = Fraction(args.seed)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse seed {args.seed!r}: {exc}")
-    cert = hensel.lift(cfg.poly, seed, cfg.abs_precision)
-    _emit(cfg, hensel.certificate_to_record(cert), _format_certificate(cert))
+def _cmd_lift(p: int, args) -> int:
+    poly = parse_poly(args.poly, p)
+    cert = hensel.lift(poly, _rational(args.seed, "seed"), args.k)
+    _emit(args, hensel.certificate_to_record(cert), _format_certificate(cert))
     return EXIT_OK if cert.checks_passed else EXIT_INTERNAL
 
 
-def _cmd_oracle(cfg: CliConfig, args) -> int:
-    report = oracle.enumerate_roots(cfg.poly, cfg.abs_precision)
+def _cmd_oracle(p: int, args) -> int:
+    report = oracle.enumerate_roots(parse_poly(args.poly, p), args.k)
     _emit(
-        cfg,
+        args,
         {"p": report.p, "k": report.k, "roots": list(report.roots)},
         " ".join(str(r) for r in report.roots),
     )
     return EXIT_OK
 
 
-def _cmd_crosscheck(cfg: CliConfig, args) -> int:
-    report = oracle.crosscheck_arith(
-        cfg.prime, cfg.abs_precision, args.trials, args.rng_seed
-    )
+def _cmd_crosscheck(p: int, args) -> int:
+    report = oracle.crosscheck_arith(p, args.k, args.trials, args.rng_seed)
     text = (
         f"trials: {report.trials}\nchecked: {report.checked}\n"
         f"mismatches: {len(report.mismatches)}"
     )
     _emit(
-        cfg,
+        args,
         {"p": report.p, "k": report.k, "trials": report.trials,
          "checked": report.checked, "mismatches": list(report.mismatches)},
         text,
@@ -266,26 +250,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return args.handler(cfg, args)
-    except NotPrime as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_PRIME
-    except (HypothesisFailed, DerivativeVanishes) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except InternalBoundViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except DomainTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ZeroHasNoExpansion as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ZERO_EXPANSION
+        return args.handler(check_prime(args.p), args)
     except (PadicError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

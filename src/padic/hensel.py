@@ -6,9 +6,10 @@ strong hypothesis ``nu(f(a)) > 2*nu(f'(a))`` (in norm form,
 ``a_{n+1} = a_n - f(a_n)/f'(a_n)`` converges to the unique root near the
 seed.  :func:`lift` runs the iteration with exact valuation bookkeeping
 and returns a :class:`HenselCertificate` recording the hypothesis
-exponents, the full iteration trace, the root residue, and the
-uniqueness radius; :func:`verify_certificate` re-checks everything from
-scratch without trusting the lifter.
+exponents, the full iteration trace and the root residue, from which the
+distance to the seed and the uniqueness radius follow;
+:func:`verify_certificate` re-checks everything from scratch without
+trusting the lifter.
 
 Exponent conventions.  With ``e = nu(f'(a))`` and ``m = nu(f(a))`` the
 hypothesis reads ``m > 2e`` and the gap ``t = m - 2e >= 1`` controls
@@ -70,11 +71,12 @@ class LiftStep:
     n: int
     residue: int
     val_f: int | None  # None encodes +infinity (exact zero)
-    val_fp: int
 
 
 @dataclass(frozen=True)
 class HenselCertificate:
+    """The fields of the certificate record; everything else derives from them."""
+
     p: int
     f: PadicPoly
     a: Fraction
@@ -82,10 +84,21 @@ class HenselCertificate:
     hypothesis: Hypothesis
     trace: tuple[LiftStep, ...]
     root: int
-    dist_exponent: int | None  # nu(root - a) mod p**k; None when they agree
-    uniqueness_radius_exponent: int
-    degenerate: bool
     checks_passed: bool
+
+    @property
+    def degenerate(self) -> bool:
+        return self.hypothesis.degenerate
+
+    @property
+    def uniqueness_radius_exponent(self) -> int:
+        return self.hypothesis.e
+
+    @property
+    def dist_exponent(self) -> int | None:
+        """nu(root - a) mod p**k; None when they agree."""
+        mod_k = self.p**self.k
+        return _distance(self.p, mod_k, self.root, rational_residue(self.a, mod_k))
 
 
 @dataclass(frozen=True)
@@ -123,13 +136,53 @@ def check_hypothesis(f: PadicPoly, a) -> Hypothesis:
     return Hypothesis(e=e, m=m, t=m - 2 * e)
 
 
-def _correction(p: int, e: int, fa: Fraction, fpa: Fraction, modulus: int) -> int:
-    # f(a_n)/f'(a_n) via exact cancellation of p**e plus a modular inverse
-    # of the remaining unit; both inputs are p-integral with nu(fa) > e.
+def _val(p: int, x: Fraction) -> int | None:
+    """nu(x), or None when x = 0 (valuation +infinity)."""
+    return None if x == 0 else padic_val_rat(p, x)
+
+
+def _visible(v: int | None, k: int) -> int:
+    """nu as far as a residue mod p**k witnesses it: k and above read as k."""
+    return k if v is None else min(v, k)
+
+
+def _distance(p: int, modulus: int, x: int, y: int) -> int | None:
+    """nu(x - y) for the difference reduced mod ``modulus``; None when x = y there."""
+    d = (x - y) % modulus
+    return None if d == 0 else padic_val_int(p, d)
+
+
+def _step(
+    f: PadicPoly, fprime: PadicPoly, a: int, e: int, k: int, w: int
+) -> tuple[int | None, int | None, int | None]:
+    """One Newton step at the integer ``a``, working modulo p**w.
+
+    Returns nu(f(a)), nu(f'(a)) (None for an exact zero) and the update
+    a - f(a)/f'(a) mod p**w.  The update is ``a`` itself once
+    f(a) = 0 mod p**w, and None when it is undefined because
+    nu(f'(a)) != e or nu(f(a)) <= e.  Raises :class:`PrecisionExhausted`
+    when the target exponent ``k`` does not exceed ``e``.
+    """
+    p = f.p
+    if k - e <= 0:
+        raise PrecisionExhausted(
+            f"target exponent {k} leaves no room below nu(f'(a)) = {e}"
+        )
+    modulus = p**w
+    a = a % modulus
+    fa = f.eval_exact(a)
+    val_f = _val(p, fa)
+    fpa = fprime.eval_exact(a)
+    val_fp = _val(p, fpa)
+    if val_f is None or val_f >= w:
+        return val_f, val_fp, a
+    if val_fp != e or val_f <= e:
+        return val_f, val_fp, None
+    # divide out p**e exactly; what remains of f'(a) is a unit mod p**w
     scale = Fraction(p**e)
     g = rational_residue(fa / scale, modulus)
     h = rational_residue(fpa / scale, modulus)
-    return g * pow(h, -1, modulus) % modulus
+    return val_f, val_fp, (a - g * pow(h, -1, modulus)) % modulus
 
 
 def newton_step(f: PadicPoly, a_n: int, hyp: Hypothesis, k: int) -> int:
@@ -138,25 +191,13 @@ def newton_step(f: PadicPoly, a_n: int, hyp: Hypothesis, k: int) -> int:
     Requires nu(f(a_n)) >= e + 1 so the quotient is an integer.  When
     a_n is already a root modulo p**k the step is the identity.
     """
-    p = f.p
     e = hyp.e
-    if k - e <= 0:
-        raise PrecisionExhausted(
-            f"target exponent {k} leaves no room below nu(f'(a)) = {e}"
-        )
-    modulus = p**k
-    a_n = a_n % modulus
-    fa = f.eval_exact(a_n)
-    if fa == 0 or rational_residue(fa, modulus) == 0:
-        return a_n
-    if padic_val_rat(p, fa) < e + 1:
-        raise ValueError(
-            f"newton step needs nu(f(a_n)) > {e}, got {padic_val_rat(p, fa)}"
-        )
-    fpa = f.derivative().eval_exact(a_n)
-    if fpa == 0 or padic_val_rat(p, fpa) != e:
+    val_f, _, update = _step(f, f.derivative(), a_n, e, k, k)
+    if update is None:
+        if val_f < e + 1:
+            raise ValueError(f"newton step needs nu(f(a_n)) > {e}, got {val_f}")
         raise ValueError("derivative valuation at a_n does not match e")
-    return (a_n - _correction(p, e, fa, fpa, modulus)) % modulus
+    return update
 
 
 def lift(f: PadicPoly, a, k: int) -> HenselCertificate:
@@ -175,52 +216,32 @@ def lift(f: PadicPoly, a, k: int) -> HenselCertificate:
     a = Fraction(a)
     hyp = check_hypothesis(f, a)
     mod_k = p**k
-    seed_res = rational_residue(a, mod_k)
-
-    if hyp.degenerate:
-        cert = HenselCertificate(
-            p, f, a, k, hyp, (), seed_res, None, hyp.e, True, False
-        )
-        return dataclasses.replace(
-            cert, checks_passed=bool(verify_certificate(cert))
-        )
-
-    e, t = hyp.e, hyp.t
-    if k - e <= 0:
-        raise PrecisionExhausted(
-            f"target exponent {k} leaves no room below nu(f'(a)) = {e}"
-        )
-    kw = k + e
-    mod_w = p**kw
-    fprime = f.derivative()
-    cur = rational_residue(a, mod_w)
     trace: list[LiftStep] = []
-    root = None
-    for n in range(MAX_STEPS + 1):
-        fa = f.eval_exact(cur)
-        val_f = None if fa == 0 else padic_val_rat(p, fa)
-        fpa = fprime.eval_exact(cur)
-        if fpa == 0 or padic_val_rat(p, fpa) != e:
-            raise InternalBoundViolation(
-                f"derivative valuation drifted from {e} at step {n}"
-            )
-        if val_f is not None and val_f < min(2 * e + t * 2**n, kw):
-            raise InternalBoundViolation(
-                f"induction bound broken at step {n}: nu(f(a_n)) = {val_f}"
-            )
-        trace.append(LiftStep(n, cur % mod_k, val_f, e))
-        if val_f is None or val_f >= kw:
-            root = cur % mod_k
-            break
-        cur = (cur - _correction(p, e, fa, fpa, mod_w)) % mod_w
-    if root is None:
-        raise InternalBoundViolation(f"no convergence within {MAX_STEPS} steps")
+    root = rational_residue(a, mod_k)
+    if not hyp.degenerate:
+        e, t = hyp.e, hyp.t
+        kw = k + e
+        fprime = f.derivative()
+        cur = rational_residue(a, p**kw)
+        for n in range(MAX_STEPS + 1):
+            val_f, val_fp, update = _step(f, fprime, cur, e, k, kw)
+            if val_fp != e:
+                raise InternalBoundViolation(
+                    f"derivative valuation drifted from {e} at step {n}"
+                )
+            if val_f is not None and val_f < min(2 * e + t * 2**n, kw):
+                raise InternalBoundViolation(
+                    f"induction bound broken at step {n}: nu(f(a_n)) = {val_f}"
+                )
+            trace.append(LiftStep(n, cur % mod_k, val_f))
+            if update == cur:
+                break
+            cur = update
+        else:
+            raise InternalBoundViolation(f"no convergence within {MAX_STEPS} steps")
+        root = cur % mod_k
 
-    diff = (root - seed_res) % mod_k
-    dist = None if diff == 0 else padic_val_int(p, diff)
-    cert = HenselCertificate(
-        p, f, a, k, hyp, tuple(trace), root, dist, e, False, False
-    )
+    cert = HenselCertificate(p, f, a, k, hyp, tuple(trace), root, False)
     return dataclasses.replace(cert, checks_passed=bool(verify_certificate(cert)))
 
 
@@ -232,7 +253,14 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
     growth of residual valuations, the pairwise distance law between
     iterates, and the step-count bound.  Returns a falsy result carrying
     the labels of all failed checks; never raises.
+
+    Before any check runs, a certificate of the wrong shape is rejected
+    with the single label ``malformed``: a field of the wrong type, f
+    over a prime other than p, ``k < 1``, ``e < 0``, a not p-integral,
+    or ``t < 1`` (or missing) while m is finite.
     """
+    if not _well_formed(cert):
+        return VerificationResult(False, ("malformed",))
     fails: list[str] = []
     p, k, f = cert.p, cert.k, cert.f
     hyp = cert.hypothesis
@@ -241,20 +269,15 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
     fprime = f.derivative()
 
     fa = f.eval_exact(cert.a)
-    fpa = fprime.eval_exact(cert.a)
-    if fpa == 0 or padic_val_rat(p, fpa) != e:
+    if _val(p, fprime.eval_exact(cert.a)) != e:
         fails.append("hypothesis_e")
-    m_true = None if fa == 0 else padic_val_rat(p, fa)
+    m_true = _val(p, fa)
     if hyp.m != m_true:
         fails.append("hypothesis_m")
-    if cert.degenerate != (m_true is None):
+    if hyp.degenerate != (m_true is None):
         fails.append("degenerate_flag")
-    if not hyp.degenerate and (
-        hyp.m is None or hyp.t != hyp.m - 2 * e or hyp.t < 1
-    ):
+    if not hyp.degenerate and hyp.t != hyp.m - 2 * e:
         fails.append("hypothesis_strength")
-    if cert.uniqueness_radius_exponent != e:
-        fails.append("uniqueness_radius")
 
     seed_res = rational_residue(cert.a, mod_k)
     if rational_residue(f.eval_exact(cert.root), mod_k) != 0:
@@ -262,19 +285,10 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
     if (cert.root - seed_res) % p ** min(e + 1, k) != 0:
         fails.append("root_near_seed")
 
-    fp_root = fprime.eval_exact(cert.root)
-    v_fp_root = None if fp_root == 0 else padic_val_rat(p, fp_root)
-    if e < k:
-        if v_fp_root != e:
-            fails.append("derivative_stability")
-    elif v_fp_root is not None and v_fp_root < k:
+    if _visible(_val(p, fprime.eval_exact(cert.root)), k) != _visible(e, k):
         fails.append("derivative_stability")
 
-    diff = (cert.root - seed_res) % mod_k
-    measured = None if diff == 0 else padic_val_int(p, diff)
-    if cert.dist_exponent != measured:
-        fails.append("distance_measured")
-
+    measured = _distance(p, mod_k, cert.root, seed_res)
     if cert.degenerate:
         if cert.trace:
             fails.append("trace_empty")
@@ -299,17 +313,10 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
 
     cap = k + e
     for step in cert.trace:
-        if step.val_fp != e:
-            fails.append(f"trace_derivative_{step.n}")
         if step.val_f is not None and step.val_f < min(2 * e + t * 2**step.n, cap):
             fails.append(f"trace_ih_{step.n}")
-        # valuations below k are fully visible in the reported residue
-        fa_n = f.eval_exact(step.residue)
-        v_n = None if fa_n == 0 else padic_val_rat(p, fa_n)
-        if step.val_f is not None and step.val_f < k:
-            if v_n != step.val_f:
-                fails.append(f"trace_reval_{step.n}")
-        elif v_n is not None and v_n < k:
+        v_n = _val(p, f.eval_exact(step.residue))
+        if _visible(v_n, k) != _visible(step.val_f, k):
             fails.append(f"trace_reval_{step.n}")
 
     for s1, s2 in zip(cert.trace, cert.trace[1:]):
@@ -322,8 +329,8 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
     for i, si in enumerate(cert.trace):
         bound = min(e + t * 2**si.n, k)
         for sj in cert.trace[i + 1:]:
-            d = (sj.residue - si.residue) % mod_k
-            if d != 0 and padic_val_int(p, d) < bound:
+            d = _distance(p, mod_k, sj.residue, si.residue)
+            if d is not None and d < bound:
                 fails.append(f"trace_distance_{si.n}_{sj.n}")
 
     # quadratic convergence: steps needed is log-sized in (k - e)/t
@@ -335,6 +342,26 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
         fails.append("trace_length")
 
     return VerificationResult(not fails, tuple(fails))
+
+
+def _well_formed(cert: HenselCertificate) -> bool:
+    """Whether the fields have the shape :func:`verify_certificate` assumes."""
+    hyp, trace = cert.hypothesis, cert.trace
+    if not (isinstance(hyp, Hypothesis) and isinstance(trace, (tuple, list))
+            and all(isinstance(s, LiftStep) for s in trace)):
+        return False
+    ints = [cert.p, cert.k, cert.root, hyp.e, *(s.n for s in trace),
+            *(s.residue for s in trace)]
+    ints_or_none = [hyp.m, *(s.val_f for s in trace)]
+    return (
+        all(isinstance(x, int) for x in ints)
+        and all(x is None or isinstance(x, int) for x in ints_or_none)
+        and isinstance(cert.f, PadicPoly) and cert.f.p == cert.p
+        and isinstance(cert.a, (int, Fraction))
+        and Fraction(cert.a).denominator % cert.p != 0
+        and cert.k >= 1 and hyp.e >= 0
+        and (hyp.m is None or isinstance(hyp.t, int) and hyp.t >= 1)
+    )
 
 
 def unique_in_neighborhood(f: PadicPoly, cert: HenselCertificate, z2: int) -> bool:
@@ -351,10 +378,8 @@ def unique_in_neighborhood(f: PadicPoly, cert: HenselCertificate, z2: int) -> bo
     z2 = z2 % mod_k
     if rational_residue(f.eval_exact(z2), mod_k) != 0:
         raise ValueError(f"{z2} is not a root of f modulo {p}^{k}")
-    seed_res = rational_residue(cert.a, mod_k)
-    d = (z2 - seed_res) % mod_k
-    inside = d == 0 or padic_val_int(p, d) > cert.uniqueness_radius_exponent
-    if inside:
+    d = _distance(p, mod_k, z2, rational_residue(cert.a, mod_k))
+    if d is None or d > cert.uniqueness_radius_exponent:
         return z2 == cert.root
     return True
 
@@ -386,12 +411,8 @@ def certificate_from_record(record: dict) -> HenselCertificate:
     t = record["t"]
     hyp = Hypothesis(e, None if m is None else int(m), None if t is None else int(t))
     trace = tuple(
-        LiftStep(int(n), int(res), None if val is None else int(val), e)
+        LiftStep(int(n), int(res), None if val is None else int(val))
         for n, res, val in record["trace"]
     )
     root = int(record["root"]) % p**k
-    diff = (root - rational_residue(a, p**k)) % p**k
-    dist = None if diff == 0 else padic_val_int(p, diff)
-    return HenselCertificate(
-        p, f, a, k, hyp, trace, root, dist, e, m is None, bool(record["checks_passed"])
-    )
+    return HenselCertificate(p, f, a, k, hyp, trace, root, bool(record["checks_passed"]))

@@ -16,6 +16,8 @@ and "zero to some precision" matters.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -95,9 +97,11 @@ class ExtVal:
 
     ``Finite(v)`` corresponds to norm ``p**(-v)``, ``ExactZero`` to norm 0,
     and ``ZeroAtLeast(A)`` to a norm known only to be at most ``p**(-A)``.
-    Order comparisons follow the true valuation; when a ``ZeroAtLeast``
-    bound cannot decide the comparison, :class:`IndeterminateValuation`
-    is raised rather than guessing.
+    Order comparisons follow the true valuation: each value stands for the
+    interval of valuations it may have (``[v, v]``, ``[inf, inf]`` and
+    ``[A, inf]``), and a comparison answers only when every pair drawn
+    from the two intervals agrees; otherwise
+    :class:`IndeterminateValuation` is raised rather than guessing.
     """
 
     kind: ExtKind
@@ -138,57 +142,35 @@ class ExtVal:
             f"norm is only bounded above by {p}^{-self.value}"
         )
 
-    def __lt__(self, other: "ExtVal") -> bool:
+    def _interval(self) -> tuple[float, float]:
+        """The valuations this value may have, as a closed interval."""
+        low = math.inf if self.is_exact_zero else self.value
+        high = self.value if self.is_finite else math.inf
+        return low, high
+
+    def _decide(self, other: "ExtVal", op) -> bool:
+        # an order relation holds for every pair drawn from two intervals
+        # when it holds at every pair of endpoints, and for none likewise
         if not isinstance(other, ExtVal):
             return NotImplemented
-        a, b = self, other
-        if a.is_finite and b.is_finite:
-            return a.value < b.value
-        if a.is_finite and b.is_exact_zero:
-            return True
-        if a.is_exact_zero:
-            return False  # nothing exceeds +infinity
-        if a.is_zero_at_least and b.is_finite:
-            if a.value >= b.value:
-                return False
-            raise IndeterminateValuation("lower bound does not decide <")
-        if a.is_finite and b.is_zero_at_least:
-            if a.value < b.value:
-                return True
-            raise IndeterminateValuation("lower bound does not decide <")
-        raise IndeterminateValuation("comparison of two unresolved zeros")
+        answers = {op(x, y) for x in self._interval() for y in other._interval()}
+        if len(answers) > 1:
+            raise IndeterminateValuation(
+                f"{op.__name__} is not decided between {self} and {other}"
+            )
+        return answers.pop()
+
+    def __lt__(self, other: "ExtVal") -> bool:
+        return self._decide(other, operator.lt)
 
     def __le__(self, other: "ExtVal") -> bool:
-        if not isinstance(other, ExtVal):
-            return NotImplemented
-        a, b = self, other
-        if a.is_finite and b.is_finite:
-            return a.value <= b.value
-        if b.is_exact_zero:
-            return True  # everything is <= +infinity
-        if a.is_exact_zero:
-            if b.is_finite:
-                return False
-            raise IndeterminateValuation("lower bound does not decide <=")
-        if a.is_zero_at_least and b.is_finite:
-            if a.value > b.value:
-                return False
-            raise IndeterminateValuation("lower bound does not decide <=")
-        if a.is_finite and b.is_zero_at_least:
-            if a.value <= b.value:
-                return True
-            raise IndeterminateValuation("lower bound does not decide <=")
-        raise IndeterminateValuation("comparison of two unresolved zeros")
+        return self._decide(other, operator.le)
 
     def __gt__(self, other: "ExtVal") -> bool:
-        if not isinstance(other, ExtVal):
-            return NotImplemented
-        return other.__lt__(self)
+        return self._decide(other, operator.gt)
 
     def __ge__(self, other: "ExtVal") -> bool:
-        if not isinstance(other, ExtVal):
-            return NotImplemented
-        return other.__le__(self)
+        return self._decide(other, operator.ge)
 
 
 def padic_val_int(p, z: int) -> int:

@@ -3,7 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from padic import cli, lift, parse_poly
+from padic import InternalBoundViolation, cli, lift, parse_poly
 from padic.hensel import certificate_from_record
 
 
@@ -183,3 +183,91 @@ def test_module_entry_point():
         text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "-3"
+
+
+LIFT_TEXT = {
+    ("5", "4", "x^2 - 6"): """\
+polynomial: x^2 - 6
+p: 5  seed: 1  target: 5^4
+hypothesis: e=0  m=1  t=1
+trace:
+  n=0  a_n=1  nu(f(a_n))=1
+  n=1  a_n=316  nu(f(a_n))=2
+  n=2  a_n=516  nu(f(a_n))=4
+root: 516
+nu(root - seed): 1
+uniqueness: only root z with nu(z - seed) > 0
+verified: true
+""",
+    ("2", "9", "x^2 - 17"): """\
+polynomial: x^2 - 17
+p: 2  seed: 1  target: 2^9
+hypothesis: e=1  m=4  t=2
+trace:
+  n=0  a_n=1  nu(f(a_n))=4
+  n=1  a_n=9  nu(f(a_n))=6
+  n=2  a_n=233  nu(f(a_n))=10
+root: 233
+nu(root - seed): 3
+uniqueness: only root z with nu(z - seed) > 1
+verified: true
+""",
+    ("5", "1", "x^2 - 27*x + 26"): """\
+polynomial: x^2 - 27*x + 26
+p: 5  seed: 1  target: 5^1
+hypothesis: e=2  m=inf (seed is an exact root)
+root: 1
+nu(root - seed): inf
+uniqueness: only root z with nu(z - seed) > 2
+verified: true
+""",
+}
+
+LIFT_RECORDS = {
+    ("5", "4", "x^2 - 6"): {
+        "p": 5, "f": ["-6", "0", "1"], "a": "1", "K": 4, "e": 0, "m": 1, "t": 1,
+        "trace": [[0, 1, 1], [1, 316, 2], [2, 516, 4]],
+        "root": 516, "checks_passed": True,
+    },
+    ("2", "9", "x^2 - 17"): {
+        "p": 2, "f": ["-17", "0", "1"], "a": "1", "K": 9, "e": 1, "m": 4, "t": 2,
+        "trace": [[0, 1, 4], [1, 9, 6], [2, 233, 10]],
+        "root": 233, "checks_passed": True,
+    },
+    ("5", "1", "x^2 - 27*x + 26"): {
+        "p": 5, "f": ["26", "-27", "1"], "a": "1", "K": 1, "e": 2, "m": None,
+        "t": None, "trace": [], "root": 1, "checks_passed": True,
+    },
+}
+
+
+def test_lift_output_is_pinned(capsys):
+    for (p, k, poly), text in LIFT_TEXT.items():
+        argv = ("lift", "-p", p, "-K", k, "--poly", poly, "--seed", "1")
+        assert run_cli(capsys, *argv) == (0, text, "")
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(LIFT_RECORDS[(p, k, poly)], indent=2) + "\n"
+
+
+def test_error_precedence(capsys):
+    # the prime is checked before the rational is parsed
+    code, _, err = run_cli(capsys, "val", "-p", "4", "three")
+    assert code == 3 and err == "error: p must be prime, got 4\n"
+    # the polynomial is parsed before the seed
+    code, _, err = run_cli(
+        capsys, "lift", "-p", "5", "-K", "3", "--poly", "x**2", "--seed", "1/0"
+    )
+    assert code == 2 and err == "error: cannot parse term 'x**2' in 'x**2'\n"
+
+
+def test_internal_bound_violation_exit_code(capsys, monkeypatch):
+    def broken_lift(f, a, k):
+        raise InternalBoundViolation("induction bound broken at step 1")
+
+    monkeypatch.setattr(cli.hensel, "lift", broken_lift)
+    code, out, err = run_cli(
+        capsys, "lift", "-p", "5", "-K", "4", "--poly", "x^2 - 6", "--seed", "1"
+    )
+    assert (code, out) == (6, "")
+    assert err == "error: induction bound broken at step 1\n"

@@ -1,12 +1,15 @@
 import dataclasses
 import json
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
 from padic import (
     DerivativeVanishes,
+    Hypothesis,
     HypothesisFailed,
     NotAnInteger,
     PadicPoly,
@@ -17,6 +20,7 @@ from padic import (
     enumerate_roots,
     lift,
     newton_step,
+    padic_val_rat,
     parse_poly,
     rational_residue,
     unique_in_neighborhood,
@@ -74,6 +78,16 @@ def test_newton_step_precision_exhausted():
     hyp = check_hypothesis(f, 1)
     with pytest.raises(PrecisionExhausted):
         newton_step(f, 1, hyp, 1)
+
+
+def test_newton_step_rejects_an_undefined_update():
+    f5 = parse_poly("x^2 - 6", 5)
+    with pytest.raises(ValueError, match=r"needs nu\(f\(a_n\)\) > 0, got 0"):
+        newton_step(f5, 2, check_hypothesis(f5, 1), 4)
+    # nu(f(1)) = 4 clears e = 0, but nu(f'(1)) = 1 is not the claimed e
+    f2 = parse_poly("x^2 - 17", 2)
+    with pytest.raises(ValueError, match="derivative valuation"):
+        newton_step(f2, 1, Hypothesis(0, 4, 4), 6)
 
 
 def test_lift_sqrt6():
@@ -224,8 +238,12 @@ def test_quadratic_convergence_exponents():
 
 
 def test_derivative_valuation_constant_along_trace():
-    cert = lift(parse_poly("x^2 - 17", 2), 1, 7)
-    assert all(s.val_fp == cert.hypothesis.e for s in cert.trace)
+    f = parse_poly("x^2 - 17", 2)
+    cert = lift(f, 1, 7)
+    fprime = f.derivative()
+    assert len(cert.trace) > 1
+    for step in cert.trace:
+        assert padic_val_rat(2, fprime.eval_exact(step.residue)) == cert.hypothesis.e
 
 
 def test_verify_flags_shuffled_trace():
@@ -281,3 +299,44 @@ def test_oracle_agreement_random_sweep():
             assert [r for r in report.roots if r % p == a] == [cert.root]
             assert all(unique_in_neighborhood(f, cert, r) for r in report.roots)
         checked += 1
+
+
+@contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_verify_labels_malformed_records_without_hanging():
+    record = certificate_to_record(lift(parse_poly("x^2 - 6", 5), 1, 4))
+    for t in (0, -1, None):
+        with time_limit(5):
+            result = verify_certificate(certificate_from_record({**record, "t": t}))
+        assert not result and result.failures == ("malformed",)
+
+
+def test_verify_labels_malformed_certificates_without_raising():
+    cert = lift(parse_poly("x^2 - 17", 2), 1, 9)
+    hyp = cert.hypothesis
+    for bad in (
+        dataclasses.replace(cert, k=0),
+        dataclasses.replace(cert, k=-2),
+        dataclasses.replace(cert, a=F(1, 2)),
+        dataclasses.replace(cert, p=4),
+        dataclasses.replace(cert, p=3),
+        dataclasses.replace(cert, hypothesis=Hypothesis(-1, hyp.m, hyp.t)),
+        dataclasses.replace(cert, hypothesis=Hypothesis(hyp.e, hyp.m, None)),
+        dataclasses.replace(cert, root=str(cert.root)),
+        dataclasses.replace(cert, trace=cert.trace + (None,)),
+    ):
+        with time_limit(5):
+            result = verify_certificate(bad)
+        assert not result and result.failures == ("malformed",)

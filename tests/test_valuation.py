@@ -1,4 +1,7 @@
+import math
+import operator
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +73,26 @@ def test_ext_val_ordering():
         ExtVal.zero_at_least(2) < ExtVal.zero_at_least(3)
     with pytest.raises(IndeterminateValuation):
         ExtVal.exact_zero() <= ExtVal.zero_at_least(4)
+
+
+# each value with the valuations it may stand for; integers up to 5 stand
+# in for "every integer >= A", which is enough against finite values <= 3
+EXT_VAL_GRID = (
+    [(ExtVal.exact_zero(), {math.inf})]
+    + [(ExtVal.finite(v), {v}) for v in range(-2, 4)]
+    + [(ExtVal.zero_at_least(a), set(range(a, 6)) | {math.inf}) for a in range(-2, 4)]
+)
+
+
+def test_ext_val_comparisons_answer_exactly_when_every_valuation_agrees():
+    ops = (operator.lt, operator.le, operator.gt, operator.ge)
+    for (a, xs), (b, ys), op in product(EXT_VAL_GRID, EXT_VAL_GRID, ops):
+        answers = {op(x, y) for x in xs for y in ys}
+        if len(answers) == 1:
+            assert op(a, b) is answers.pop()
+        else:
+            with pytest.raises(IndeterminateValuation):
+                op(a, b)
 
 
 def test_ext_val_norm_fraction():
