@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -33,6 +34,9 @@ EXIT_ZERO_EXPANSION = 4
 EXIT_HYPOTHESIS = 5
 EXIT_INTERNAL = 6
 EXIT_DOMAIN = 7
+
+# the documented grammar: an integer or a/b, nothing Fraction() also reads
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 # first match wins, so the catch-all parse row comes last
 _EXIT_CODES = (
@@ -118,9 +122,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _rational(text: str, what: str) -> Fraction:
+    if not _RATIONAL_RE.fullmatch(text):
+        raise ValueError(f"cannot parse {what} {text!r}: expected an integer or a/b")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise ValueError(f"cannot parse {what} {text!r}: {exc}")
 
 
@@ -249,11 +255,17 @@ def _cmd_crosscheck(p: int, args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # deep lifts print integers past Python's default int/str digit limit;
+    # inputs stay bounded because the OS caps the size of argv
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.handler(check_prime(args.p), args)
     except (PadicError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

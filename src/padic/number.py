@@ -6,7 +6,10 @@ for a relative precision ``N >= 1``; the element is therefore pinned down
 modulo ``p**(v + N)``.  Two zero-like forms complete the picture: an exact
 zero (infinite precision) and an inexact zero ``ZeroAtLeast(A)`` produced
 by catastrophic cancellation, which only records that the value vanishes
-modulo ``p**A``.
+modulo ``p**A``.  Both zeros store unit 0 and precision 0, and the inexact
+one stores ``A`` as ``v``, so it is the value ``p**A * 0`` known modulo
+``p**(A + 0)``: the formulas for units hold for it unchanged, and one
+normaliser builds every sum and product.
 
 Precision obeys two rules that every operation maintains and the test
 suite asserts: multiplication keeps the minimum *relative* precision of
@@ -38,6 +41,15 @@ class Form(Enum):
     EXACT_ZERO = "zero"
     ZERO_AT_LEAST = "zero_at_least"
     UNIT = "unit"
+
+
+def _normal(p: int, v: int, total: int, span: int) -> "PadicNumber":
+    """``p**v * total`` known modulo ``p**(v + span)``, in normal form."""
+    total %= p**span
+    if total == 0:
+        return PadicNumber.zero_at_least(p, v + span)
+    w = padic_val_int(p, total)
+    return PadicNumber(p, Form.UNIT, v + w, total // p**w, span - w)
 
 
 def rational_residue(q, modulus: int) -> int:
@@ -114,11 +126,7 @@ class PadicNumber:
     @property
     def abs_prec(self):
         """Exponent k such that the value is known modulo p**k (inf if exact)."""
-        if self.form is Form.EXACT_ZERO:
-            return math.inf
-        if self.form is Form.ZERO_AT_LEAST:
-            return self.v
-        return self.v + self.prec
+        return math.inf if self.form is Form.EXACT_ZERO else self.v + self.prec
 
     def norm(self) -> ExtVal:
         """The norm as an extended valuation exponent (norm = p**-v)."""
@@ -130,8 +138,6 @@ class PadicNumber:
 
     def is_integer(self) -> bool:
         """True when the norm is certainly at most 1."""
-        if self.form is Form.EXACT_ZERO:
-            return True
         return self.v >= 0
 
     def digits(self) -> "DigitExpansion":
@@ -151,14 +157,6 @@ class PadicNumber:
             raise ValueError("k must be a positive integer")
         if not self.is_integer():
             raise NotAnInteger(f"value has valuation {self.v} < 0")
-        if self.form is Form.EXACT_ZERO:
-            return 0
-        if self.form is Form.ZERO_AT_LEAST:
-            if self.v >= k:
-                return 0
-            raise InsufficientPrecision(
-                f"value known only modulo {self.p}^{self.v}, need {self.p}^{k}"
-            )
         if self.abs_prec < k:
             raise InsufficientPrecision(
                 f"value known only modulo {self.p}^{self.abs_prec}, need {self.p}^{k}"
@@ -200,8 +198,7 @@ class PadicNumber:
         q = Fraction(q)
         if q == 0:
             return PadicNumber.exact_zero(self.p)
-        n = self.prec if self.form is Form.UNIT else DEFAULT_PRECISION
-        return PadicNumber.from_rational(self.p, q, n)
+        return PadicNumber.from_rational(self.p, q, self.prec or DEFAULT_PRECISION)
 
     def _add(self, other: "PadicNumber") -> "PadicNumber":
         self._check_same_prime(other)
@@ -211,27 +208,9 @@ class PadicNumber:
         if b.form is Form.EXACT_ZERO:
             return a
         floor = min(a.abs_prec, b.abs_prec)
-        if a.form is Form.ZERO_AT_LEAST and b.form is Form.ZERO_AT_LEAST:
-            return PadicNumber.zero_at_least(a.p, floor)
-        if a.form is Form.ZERO_AT_LEAST or b.form is Form.ZERO_AT_LEAST:
-            u = a if a.form is Form.UNIT else b
-            if u.v >= floor:
-                return PadicNumber.zero_at_least(a.p, floor)
-            return PadicNumber(
-                a.p, Form.UNIT, u.v, u.unit % a.p ** (floor - u.v), floor - u.v
-            )
         base = min(a.v, b.v)
-        span = floor - base  # >= 1: a unit form always has a known digit
-        modulus = a.p**span
-        total = (
-            a.unit * a.p ** (a.v - base) + b.unit * b.p ** (b.v - base)
-        ) % modulus
-        if total == 0:
-            return PadicNumber.zero_at_least(a.p, floor)
-        w = padic_val_int(a.p, total)
-        return PadicNumber(
-            a.p, Form.UNIT, base + w, total // a.p**w, span - w
-        )
+        total = a.unit * a.p ** (a.v - base) + b.unit * a.p ** (b.v - base)
+        return _normal(a.p, base, total, floor - base)
 
     def __add__(self, other):
         if isinstance(other, PadicNumber):
@@ -250,15 +229,13 @@ class PadicNumber:
         )
 
     def __sub__(self, other):
-        if isinstance(other, PadicNumber):
-            return self._add(-other)
-        if isinstance(other, (int, Fraction)):
-            return self._add(-self._embed_for_add(other))
+        if isinstance(other, (PadicNumber, int, Fraction)):
+            return self + -other
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._embed_for_add(other)._add(-self)
+            return -self + other
         return NotImplemented
 
     def _mul(self, other: "PadicNumber") -> "PadicNumber":
@@ -266,13 +243,7 @@ class PadicNumber:
         a, b = self, other
         if a.form is Form.EXACT_ZERO or b.form is Form.EXACT_ZERO:
             return PadicNumber.exact_zero(a.p)
-        if a.form is Form.ZERO_AT_LEAST or b.form is Form.ZERO_AT_LEAST:
-            # valuations add, whether v is exact or a floor
-            return PadicNumber.zero_at_least(a.p, a.v + b.v)
-        n = min(a.prec, b.prec)
-        return PadicNumber(
-            a.p, Form.UNIT, a.v + b.v, a.unit * b.unit % a.p**n, n
-        )
+        return _normal(a.p, a.v + b.v, a.unit * b.unit, min(a.prec, b.prec))
 
     def __mul__(self, other):
         if isinstance(other, PadicNumber):
@@ -317,19 +288,14 @@ class PadicNumber:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        if self.form is Form.EXACT_ZERO:
-            if k == 0:
-                return PadicNumber(self.p, Form.UNIT, 0, 1, DEFAULT_PRECISION)
-            return self
-        if self.form is Form.ZERO_AT_LEAST:
-            if k == 0:
-                return PadicNumber(self.p, Form.UNIT, 0, 1, DEFAULT_PRECISION)
-            return PadicNumber.zero_at_least(self.p, self.v * k)
         if k == 0:
-            return PadicNumber(self.p, Form.UNIT, 0, 1, self.prec)
+            return PadicNumber(
+                self.p, Form.UNIT, 0, 1, self.prec or DEFAULT_PRECISION
+            )
+        # a zero keeps unit 0 and precision 0; only its valuation scales
         return PadicNumber(
             self.p,
-            Form.UNIT,
+            self.form,
             self.v * k,
             pow(self.unit, k, self.p**self.prec),
             self.prec,

@@ -28,8 +28,6 @@ class OracleReport:
     k: int
     coeffs_mod: tuple[int, ...]
     roots: tuple[int, ...]
-    filter_center: int | None = None
-    filter_radius_exponent: int | None = None
     filtered_roots: tuple[int, ...] | None = None
 
 
@@ -68,7 +66,7 @@ def enumerate_roots(
             if (r - c0) % modulus == 0
             or padic_val_int(p, (r - c0) % modulus) > radius_exponent
         )
-    return OracleReport(p, k, coeffs, roots, center, radius_exponent, filtered)
+    return OracleReport(p, k, coeffs, roots, filtered)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Shared strategies and helpers for the test suite."""
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -45,3 +47,17 @@ def assert_same_value(x: PadicNumber, y: PadicNumber):
         assert x.form is Form.EXACT_ZERO and y.form is Form.EXACT_ZERO
         return
     assert x.eq_to_precision(y, k), f"{x!r} != {y!r} mod p^{k}"
+
+
+@contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

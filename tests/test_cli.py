@@ -3,6 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+from conftest import time_limit
 from padic import InternalBoundViolation, cli, lift, parse_poly
 from padic.hensel import certificate_from_record
 
@@ -271,3 +272,34 @@ def test_internal_bound_violation_exit_code(capsys, monkeypatch):
     )
     assert (code, out) == (6, "")
     assert err == "error: induction bound broken at step 1\n"
+
+
+def test_rationals_follow_the_documented_grammar(capsys):
+    # Fraction() alone also reads decimals, underscores, spaces and
+    # exponents; 1e100000000 would build a 10**100000000 before failing
+    with time_limit(5):
+        for text in ("0.04", "1_000", " 3 ", "1e100000000", "1/0"):
+            code, out, err = run_cli(capsys, "val", "-p", "5", text)
+            assert (code, out) == (2, "") and err.startswith("error: cannot parse")
+    for text, want in (("-1", "0\n"), ("+3", "0\n"), ("3/8", "-3\n")):
+        assert run_cli(capsys, "val", "-p", "2", text) == (0, want, "")
+
+
+def test_results_past_the_int_str_limit_print(capsys):
+    limit = sys.get_int_max_str_digits()
+    argv = ("lift", "-p", "101", "-K", "2200", "--poly", "x^2 - 6", "--seed", "39")
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)  # the root has more than 4300 digits
+    try:
+        record = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    cert = certificate_from_record(record)
+    assert cert.checks_passed and len(out) > limit
+    assert cert == lift(parse_poly("x^2 - 6", 101), 39, 2200)
+    argv = ("eval", "-p", "101", "-N", "2500", "--poly", "x^2 - 6", "1/3")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out.startswith("p: 101\nform: unit\n")
+    assert sys.get_int_max_str_digits() == limit

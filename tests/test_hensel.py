@@ -1,12 +1,11 @@
 import dataclasses
 import json
 import random
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
+from conftest import time_limit
 from padic import (
     DerivativeVanishes,
     Hypothesis,
@@ -299,20 +298,6 @@ def test_oracle_agreement_random_sweep():
             assert [r for r in report.roots if r % p == a] == [cert.root]
             assert all(unique_in_neighborhood(f, cert, r) for r in report.roots)
         checked += 1
-
-
-@contextmanager
-def time_limit(seconds):
-    def expire(signum, frame):
-        raise TimeoutError(f"no answer within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_verify_labels_malformed_records_without_hanging():

@@ -246,3 +246,73 @@ def test_unit_form_validation():
         PadicNumber(5, Form.UNIT, 0, 26, 2)  # out of range mod 25
     with pytest.raises(ValueError):
         PadicNumber(5, Form.UNIT, 0, 3, 0)  # no precision
+
+
+def _z(floor):
+    return PadicNumber.zero_at_least(5, floor)
+
+
+def _u(q, n):
+    return PadicNumber.from_rational(5, q, n)
+
+
+def _unit(v, unit, n):
+    return PadicNumber(5, Form.UNIT, v, unit, n)
+
+
+_ZERO = PadicNumber.exact_zero(5)
+
+# (case, computation, expected value or the exact exception it raises)
+MIXED_FORM_CASES = [
+    # an inexact zero's floor above the unit's valuation cuts the unit there
+    ("zal+unit", lambda: _z(4) + _u(3, 6), _unit(0, 3, 4)),
+    ("unit+zal", lambda: _u(3, 6) + _z(4), _unit(0, 3, 4)),
+    ("zal-unit", lambda: _z(4) - _u(3, 6), _unit(0, 5**4 - 3, 4)),
+    ("unit-zal", lambda: _u(3, 6) - _z(4), _unit(0, 3, 4)),
+    ("zal+int", lambda: _z(4) + 3, _unit(0, 3, 4)),
+    ("int-zal", lambda: 3 - _z(4), _unit(0, 3, 4)),
+    # a floor at or below the unit's valuation swallows the unit
+    ("zal+unit below", lambda: _z(2) + _u(125, 6), _z(2)),
+    ("unit-zal equal", lambda: _u(125, 6) - _z(3), _z(3)),
+    ("zal+zal", lambda: _z(3) + _z(5), _z(3)),
+    ("zal-zal negative", lambda: _z(-1) - _z(2), _z(-1)),
+    ("zal*unit", lambda: _z(3) * _u(10, 4), _z(4)),
+    ("unit*zal negative v", lambda: _u(F(1, 25), 4) * _z(3), _z(1)),
+    ("zero**0", lambda: _ZERO**0, _unit(0, 1, 32)),
+    ("zero**3", lambda: _ZERO**3, _ZERO),
+    ("zal**0", lambda: _z(2) ** 0, _unit(0, 1, 32)),
+    ("zal**3", lambda: _z(2) ** 3, _z(6)),
+    ("zal**3 negative", lambda: _z(-2) ** 3, _z(-6)),
+    ("unit**0", lambda: _u(3, 6) ** 0, _unit(0, 1, 6)),
+    ("zal reduce_mod at floor", lambda: _z(4).reduce_mod(4), 0),
+    ("zal reduce_mod above floor", lambda: _z(4).reduce_mod(5),
+     InsufficientPrecision("value known only modulo 5^4, need 5^5")),
+    ("zal reduce_mod negative", lambda: _z(-2).reduce_mod(1),
+     NotAnInteger("value has valuation -2 < 0")),
+    ("zero abs_prec", lambda: (_ZERO.abs_prec, _ZERO.is_integer()),
+     (float("inf"), True)),
+    ("zal abs_prec", lambda: (_z(4).abs_prec, _z(4).is_integer()), (4, True)),
+    ("zal abs_prec negative",
+     lambda: (_z(-2).abs_prec, _z(-2).is_integer()), (-2, False)),
+    ("unit abs_prec", lambda: (_u(3, 6).abs_prec, _u(3, 6).is_integer()),
+     (6, True)),
+    ("unit abs_prec negative",
+     lambda: (_u(F(1, 25), 3).abs_prec, _u(F(1, 25), 3).is_integer()),
+     (1, False)),
+]
+
+
+@pytest.mark.parametrize(
+    "compute, expected",
+    [case[1:] for case in MIXED_FORM_CASES],
+    ids=[case[0] for case in MIXED_FORM_CASES],
+)
+def test_mixed_forms(compute, expected):
+    """Arithmetic that mixes the zero forms with units, pinned exactly."""
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as info:
+            compute()
+        assert str(info.value) == str(expected)
+    else:
+        result = compute()
+        assert result == expected and type(result) is type(expected)
