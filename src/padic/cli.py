@@ -35,7 +35,9 @@ EXIT_HYPOTHESIS = 5
 EXIT_INTERNAL = 6
 EXIT_DOMAIN = 7
 
-# the documented grammar: an integer or a/b, nothing Fraction() also reads
+# the documented grammar, in ASCII digits: nothing int() or Fraction() also
+# reads (spaces, underscores, decimals, exponents, other scripts' digits)
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 # first match wins, so the catch-all parse row comes last
@@ -49,11 +51,14 @@ _EXIT_CODES = (
 )
 
 
+def _integer(text: str) -> int:
+    if not _INTEGER_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive: {text}")
     return value
@@ -61,7 +66,7 @@ def _positive_int(text: str) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     prime_flags = argparse.ArgumentParser(add_help=False)
-    prime_flags.add_argument("-p", type=int, required=True, metavar="P",
+    prime_flags.add_argument("-p", type=_integer, required=True, metavar="P",
                              help="prime base")
     prime_flags.add_argument("--json", action="store_true",
                              help="emit JSON instead of text")
@@ -115,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = sub.add_parser("crosscheck", parents=[prime_flags, abs_flags],
                          help="compare ring ops against rational arithmetic")
     cmd.add_argument("--trials", type=_positive_int, default=1000)
-    cmd.add_argument("--seed", dest="rng_seed", type=int, default=0)
+    cmd.add_argument("--seed", dest="rng_seed", type=_integer, default=0)
     cmd.set_defaults(handler=_cmd_crosscheck)
 
     return parser

@@ -52,6 +52,17 @@ def _normal(p: int, v: int, total: int, span: int) -> "PadicNumber":
     return PadicNumber(p, Form.UNIT, v + w, total // p**w, span - w)
 
 
+def _horner(coeffs, x, acc):
+    """``acc * x**n + sum(coeffs[i] * x**i)`` for n = len(coeffs), by Horner's rule.
+
+    >>> _horner((3, 0, 1), 10, 0)
+    103
+    """
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def rational_residue(q, modulus: int) -> int:
     """The residue of a rational with invertible denominator mod ``modulus``."""
     q = Fraction(q)
@@ -90,6 +101,8 @@ class PadicNumber:
                 raise ValueError("unit residue must be coprime to p")
         elif self.unit != 0 or self.prec != 0:
             raise ValueError("zero forms carry no unit data")
+        elif self.form is Form.EXACT_ZERO and self.v != 0:
+            raise ValueError("an exact zero has v = 0")
 
     # ----- constructors -------------------------------------------------
 
@@ -354,17 +367,11 @@ class DigitExpansion:
 
     def value(self) -> Fraction:
         """The exact rational value of the truncated series."""
-        return sum(
-            (d * Fraction(self.p) ** (self.start + i)
-             for i, d in enumerate(self.digits)),
-            Fraction(0),
-        )
+        return Fraction(self.p) ** self.start * _horner(self.digits, self.p, 0)
 
     def to_number(self) -> PadicNumber:
         """Reassemble the source element (same valuation, unit, precision)."""
-        unit = 0
-        for d in reversed(self.digits):
-            unit = unit * self.p + d
+        unit = _horner(self.digits, self.p, 0)
         return PadicNumber(self.p, Form.UNIT, self.start, unit, len(self.digits))
 
     def __str__(self) -> str:

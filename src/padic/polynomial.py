@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotAnInteger
-from .number import DEFAULT_PRECISION, Form, PadicNumber
+from .number import DEFAULT_PRECISION, Form, PadicNumber, _horner
 from .valuation import check_prime
 
 
@@ -29,15 +29,15 @@ class PadicPoly:
 
     def __post_init__(self):
         check_prime(self.p)
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = [Fraction(c) for c in self.coeffs]
         while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
+            coeffs.pop()
         for i, c in enumerate(coeffs):
             if c.denominator % self.p == 0:
                 raise NotAnInteger(
                     f"coefficient {c} of x^{i} is not a {self.p}-adic integer"
                 )
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @property
     def degree(self) -> int:
@@ -77,28 +77,19 @@ class PadicPoly:
 
     def eval_exact(self, a) -> Fraction:
         """Horner evaluation in exact rational arithmetic."""
-        a = Fraction(a)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
+        return _horner(self.coeffs, Fraction(a), Fraction(0))
 
-    def eval(self, x: PadicNumber, prec: int | None = None) -> PadicNumber:
+    def eval(self, x: PadicNumber) -> PadicNumber:
         """Horner evaluation at a p-adic integer.
 
-        Coefficients are embedded at the relative precision of ``x``
-        (or ``prec`` if given); the result tracks precision through the
-        usual rules and is itself an integer element.
+        Coefficients are embedded at the relative precision of ``x``; the
+        result tracks precision through the usual rules and is itself an
+        integer element.
         """
-        if x.p != self.p:
-            raise ValueError("point and polynomial use different primes")
-        if not x.is_integer():
-            raise NotAnInteger("evaluation point must be a p-adic integer")
-        wp = prec if prec is not None else _working_precision(x)
-        acc = PadicNumber.exact_zero(self.p)
-        for c in reversed(self.coeffs):
-            acc = acc * x + PadicNumber.from_rational(self.p, c, wp)
-        return acc
+        _require_integer_points(self, x)
+        wp = _working_precision(x)
+        coeffs = [PadicNumber.from_rational(self.p, c, wp) for c in self.coeffs]
+        return _horner(coeffs, x, PadicNumber.exact_zero(self.p))
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -285,6 +285,25 @@ def test_rationals_follow_the_documented_grammar(capsys):
         assert run_cli(capsys, "val", "-p", "2", text) == (0, want, "")
 
 
+def test_integer_options_follow_the_documented_grammar(capsys):
+    # int() alone also reads underscores, spaces and non-ASCII digits
+    for argv in (
+        ("digits", "-p", "5", "-N", "1_0", "3"),
+        ("digits", "-p", "5", "-N", " 4 ", "3"),
+        ("digits", "-p", "5", "-N", "0", "3"),
+        ("val", "-p", "\uff15", "3"),
+        ("crosscheck", "-p", "5", "-K", "2", "--trials", "\u0663", "--seed", "1_0"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and "error: argument" in err
+    code, out, _ = run_cli(capsys, "digits", "-p", "5", "-N", "10", "3")
+    assert (code, out) == (0, "...0000000003\n")
+    assert run_cli(capsys, "val", "-p", "5", "25") == (0, "2\n", "")
+    code, out, _ = run_cli(capsys, "crosscheck", "-p", "5", "-K", "2",
+                           "--trials", "3", "--seed", "-3")
+    assert code == 0 and out.startswith("trials: 3\n")
+
+
 def test_results_past_the_int_str_limit_print(capsys):
     limit = sys.get_int_max_str_digits()
     argv = ("lift", "-p", "101", "-K", "2200", "--poly", "x^2 - 6", "--seed", "39")

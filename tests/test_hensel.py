@@ -10,6 +10,7 @@ from padic import (
     DerivativeVanishes,
     Hypothesis,
     HypothesisFailed,
+    LiftStep,
     NotAnInteger,
     PadicPoly,
     PrecisionExhausted,
@@ -325,3 +326,33 @@ def test_verify_labels_malformed_certificates_without_raising():
         with time_limit(5):
             result = verify_certificate(bad)
         assert not result and result.failures == ("malformed",)
+
+
+def _with_step_copies(cert):
+    last = cert.trace[-1]
+    extra = tuple(dataclasses.replace(last, n=last.n + i) for i in (1, 2, 3))
+    return dataclasses.replace(cert, trace=cert.trace + extra)
+
+
+@pytest.mark.parametrize("poly, seed, k, mutate, label, alone", [
+    ("x^2 - 6", 1, 8, lambda c: dataclasses.replace(
+        c, hypothesis=dataclasses.replace(c.hypothesis, m=None)),
+     "degenerate_flag", False),
+    ("x^2 - 6", 1, 8, lambda c: dataclasses.replace(c, trace=()),
+     "trace_missing", True),
+    ("x^2 - 6", 1, 8, lambda c: dataclasses.replace(
+        c, trace=(dataclasses.replace(c.trace[0], val_f=None),) + c.trace[1:]),
+     "trace_after_zero_1", False),
+    ("x^2 - 6", 1, 8, _with_step_copies, "trace_length", True),
+    ("x^2 - 4", 2, 5, lambda c: dataclasses.replace(c, trace=(LiftStep(0, 2, None),)),
+     "trace_empty", True),
+    ("x^2 - 4", 2, 5, lambda c: dataclasses.replace(c, root=7),
+     "degenerate_root", False),
+])
+def test_verify_fires_each_label(poly, seed, k, mutate, label, alone):
+    cert = lift(parse_poly(poly, 5), seed, k)
+    assert cert.checks_passed
+    result = verify_certificate(mutate(cert))
+    assert not result and label in result.failures
+    if alone:
+        assert result.failures == (label,)

@@ -248,6 +248,16 @@ def test_unit_form_validation():
         PadicNumber(5, Form.UNIT, 0, 3, 0)  # no precision
 
 
+def test_exact_zero_validation():
+    for v in (-3, 2):
+        with pytest.raises(ValueError):
+            PadicNumber(5, Form.EXACT_ZERO, v)
+        with pytest.raises(ValueError):
+            PadicNumber.from_record({"p": 5, "form": "zero", "v": v, "unit": "0", "N": 0})
+    zero = {"p": 5, "form": "zero", "v": 0, "unit": "0", "N": 0}
+    assert PadicNumber.from_record(zero) == PadicNumber.exact_zero(5)
+
+
 def _z(floor):
     return PadicNumber.zero_at_least(5, floor)
 

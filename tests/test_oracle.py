@@ -1,5 +1,10 @@
+import ast
+import inspect
+
 import pytest
 
+import padic.oracle
+from conftest import time_limit
 from padic import (
     DomainTooLarge,
     PadicPoly,
@@ -38,6 +43,35 @@ def test_filtered_roots():
     assert report.filtered_roots == (516,)
     with pytest.raises(ValueError):
         enumerate_roots(parse_poly("x", 5), 2, center=1)
+
+
+def test_filter_reads_any_center_and_radius():
+    f = parse_poly("x^2 - 6", 5)
+    with time_limit(5):
+        for center, radius, want in (
+            (1 - 5**4, 0, (516,)),
+            (516 + 3 * 5**4, 10**9, (516,)),
+            (517, 10**9, ()),
+            (-1, -3, (109, 516)),
+            (109 + 5**3, 2, (109,)),
+            (109 + 5**3, 3, ()),
+        ):
+            report = enumerate_roots(f, 4, center=center, radius_exponent=radius)
+            assert report.filtered_roots == want, (center, radius)
+
+
+def test_oracle_imports_only_what_it_checks_through():
+    # the oracle is an independent check, so it must not reuse library helpers
+    tree = ast.parse(inspect.getsource(padic.oracle))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "padic"
+        ):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "padic" for a in node.names)
+    assert imported == {"DomainTooLarge", "PadicNumber", "PadicPoly", "check_prime"}
 
 
 def test_roots_sorted_ascending():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_value
+from conftest import assert_same_value, time_limit
 from padic import (
     Form,
     NotAnInteger,
@@ -26,6 +26,11 @@ def test_construction_trims_and_validates():
     assert PadicPoly(5, ()).is_zero
     with pytest.raises(NotAnInteger):
         PadicPoly(5, (F(1, 5),))
+
+
+def test_trimming_is_linear_in_the_trailing_zeros():
+    with time_limit(5):
+        assert PadicPoly(5, (1,) + (0,) * 200_000).degree == 0
 
 
 def test_parse():
