@@ -21,10 +21,13 @@ The root satisfies ``nu(root - a) = m - e`` and is the only root z with
 Iterates are computed modulo ``p**(k + e)`` and reported modulo ``p**k``:
 the division by ``f'`` costs exactly ``e`` digits of absolute precision,
 and one slack of ``e`` suffices because the derivative valuation never
-drifts.  Valuations recorded in the trace are exact values of ``f`` at
-the integer representatives; any bound involving them is capped at the
-working precision ``k + e``, beyond which a residue cannot witness a
-valuation.
+drifts.  The division itself multiplies by the inverse of the unit part
+of ``f'(a_n)``, computed by the p-adic Newton inverse ``x -> x*(2 - h*x)``
+(which doubles the correct digits per step) rather than by an extended
+Euclid modulo ``p**(k + e)``.  Valuations recorded in the trace are exact
+values of ``f`` at the integer representatives; any bound involving them
+is capped at the working precision ``k + e``, beyond which a residue
+cannot witness a valuation.
 """
 
 from __future__ import annotations
@@ -146,10 +149,30 @@ def _visible(v: int | None, k: int) -> int:
     return k if v is None else min(v, k)
 
 
+def _capped(c: int, t: int, n: int, cap: int) -> int:
+    """min(c + t*2**n, cap) for c >= 0, t >= 1, without building a huge 2**n."""
+    return cap if n >= cap.bit_length() else min(c + t * 2**n, cap)
+
+
 def _distance(p: int, modulus: int, x: int, y: int) -> int | None:
     """nu(x - y) for the difference reduced mod ``modulus``; None when x = y there."""
     d = (x - y) % modulus
     return None if d == 0 else padic_val_int(p, d)
+
+
+def _unit_inverse(h: int, p: int, w: int) -> int:
+    """The inverse of the p-adic unit ``h`` modulo p**w, by Newton iteration.
+
+    An inverse x mod p**ceil(w/2) gives one mod p**w as x*(2 - h*x): each
+    step doubles the correct digits, starting from the inverse mod p, so
+    the cost is a few products at the final size rather than an extended
+    Euclid on p**w.
+    """
+    if w <= 1:
+        return pow(h % p, -1, p)
+    x = _unit_inverse(h, p, (w + 1) // 2)
+    modulus = p**w
+    return x * (2 - h % modulus * x) % modulus
 
 
 def _step(
@@ -182,7 +205,7 @@ def _step(
     scale = Fraction(p**e)
     g = rational_residue(fa / scale, modulus)
     h = rational_residue(fpa / scale, modulus)
-    return val_f, val_fp, (a - g * pow(h, -1, modulus)) % modulus
+    return val_f, val_fp, (a - g * _unit_inverse(h, p, w)) % modulus
 
 
 def newton_step(f: PadicPoly, a_n: int, hyp: Hypothesis, k: int) -> int:
@@ -229,7 +252,7 @@ def lift(f: PadicPoly, a, k: int) -> HenselCertificate:
                 raise InternalBoundViolation(
                     f"derivative valuation drifted from {e} at step {n}"
                 )
-            if val_f is not None and val_f < min(2 * e + t * 2**n, kw):
+            if val_f is not None and val_f < _capped(2 * e, t, n, kw):
                 raise InternalBoundViolation(
                     f"induction bound broken at step {n}: nu(f(a_n)) = {val_f}"
                 )
@@ -313,7 +336,7 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
 
     cap = k + e
     for step in cert.trace:
-        if step.val_f is not None and step.val_f < min(2 * e + t * 2**step.n, cap):
+        if step.val_f is not None and step.val_f < _capped(2 * e, t, step.n, cap):
             fails.append(f"trace_ih_{step.n}")
         v_n = _val(p, f.eval_exact(step.residue))
         if _visible(v_n, k) != _visible(step.val_f, k):
@@ -327,7 +350,7 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
             fails.append(f"trace_quadratic_{s2.n}")
 
     for i, si in enumerate(cert.trace):
-        bound = min(e + t * 2**si.n, k)
+        bound = _capped(e, t, si.n, k)
         for sj in cert.trace[i + 1:]:
             d = _distance(p, mod_k, sj.residue, si.residue)
             if d is not None and d < bound:

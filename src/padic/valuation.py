@@ -174,24 +174,45 @@ class ExtVal:
 
 
 def padic_val_int(p, z: int) -> int:
-    """Largest k with p**k dividing z, computed by repeated exact division.
+    """Largest k with p**k dividing z, computed by square-and-divide.
 
-    Total at zero: ``padic_val_int(p, 0) == 0``.
+    Past the fourth factor of p, it finds the first of the blocks p,
+    p**2, p**4, ... that fails to divide, and one descent through the
+    smaller blocks, on the short residue mod that block, reads off the
+    remaining binary digits of the valuation: O(log k) divisions instead
+    of k.  Total at zero: ``padic_val_int(p, 0) == 0``.
 
     >>> padic_val_int(2, 8)
     3
     >>> padic_val_int(3, -18)
     2
+    >>> padic_val_int(5, 3 * 5**1000)
+    1000
     """
     p = check_prime(p)
     z = int(z)
-    if z == 0:
+    if z % p or not z:
         return 0
-    z = abs(z)
-    v = 0
+    # small valuations are the common case: single factors are cheaper
+    v = 1
+    z //= p
     while z % p == 0:
         z //= p
         v += 1
+        if v == 4:
+            break
+    else:
+        return v
+    # z mod the first block p**(2**j) that fails to divide is short and
+    # keeps the valuation, which is below 2**j
+    blocks, q = [], p
+    while not (r := z % q):
+        blocks.append(q)
+        q *= q
+    for i in reversed(range(len(blocks))):
+        if not r % blocks[i]:
+            r //= blocks[i]
+            v += 1 << i
     return v
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -26,6 +27,7 @@ from padic import (
     unique_in_neighborhood,
     verify_certificate,
 )
+from padic.hensel import _unit_inverse
 
 F = Fraction
 
@@ -356,3 +358,56 @@ def test_verify_fires_each_label(poly, seed, k, mutate, label, alone):
     assert not result and label in result.failures
     if alone:
         assert result.failures == (label,)
+
+
+# sha256 of json.dumps(certificate_to_record(lift(parse_poly(f, p), a, k))),
+# pinned so that a faster lift cannot silently change a record
+@pytest.mark.parametrize("p, poly, seed, k, e, digest", [
+    (2, "x^2 - 17", 1, 7, 1, "cdd35388015c9089fd062abc3671f1de6034b3fc21db8fe6940692e749493961"),
+    (2, "x^2 - 17", 1, 300, 1, "abf1123e12ebbdbc54cd1a4bd39083d33f8ce3740735a1a2690e82f84ac42f14"),
+    (2, "x^3 - 3", 1, 1, 0, "af6d944ce036c2df4a362e53e4d47ff7388396c3349e7099a572d611b19fe580"),
+    (2, "x^3 - 3", 1, 64, 0, "94da0c452d48885add098935288b249832085c5510ca94a4b53792941e8bce00"),
+    (2, "x^2 - 68", 2, 64, 2, "1db02c4e6e510ff975f7742cd22773fc49ed9d2c43e5ae82b05c11cece3e95a3"),
+    (3, "x^2 - 7", 1, 1, 0, "827c681e427f779fe67bc0a8ff798357fa6490918319666cc623e3eb1989325a"),
+    (3, "x^3 - 28", 1, 7, 1, "a31ff34e3ca464feb53512e5a022cdc9889c53f052662552087d22eb7af3dbcf"),
+    (3, "x^3 - 28", 1, 300, 1, "b1b8b81e11d025de4b1df1d2ffef13f2b6da0b33460c7a23482cb1b26d08b8fa"),
+    (3, "x^2 - 567", 9, 64, 2, "8042defc03fc8cc95a526037aab034de44eb180388d286db9163aa2e30370047"),
+    (3, "x^4 + x + 1", 1, 300, 0, "90a63add58b1bbd1d79af632af502af8024b5355afd7c05884cdba700470a7b1"),
+    (3, "x^2 - 4", 2, 7, 0, "9a9732df93b964471b95d6879c600644b81c5fd0a50072d4f38902dbe2ab1f61"),
+    (5, "x^2 - 6", 1, 1, 0, "89d4a04242baa85771d024a5358a7f849dcea554e712fdaf743d1aad2bb5289f"),
+    (5, "x^2 - 6", F(1, 6), 64, 0, "1c71a0e2771d0c98a24b03e2fdee6a8c72b97cde28f980d4276ab3a0332b3491"),
+    (5, "x^2 - 6/11", 1, 300, 0, "0f9cbd582bef0331df9549a1d5f315f1dd3e0ea268c6b1ea0c56b45bad430257"),
+    (5, "x^2 - 150", 5, 7, 1, "2c57792d79e4cf7fd3886186e4354a674c916e9430bcf5e02a51053dc35a2a6b"),
+    (5, "x^2 - 3750", 25, 64, 2, "8ce93b75265582b2c637f8c9b26971d4edb2415a6ecbc9dcf0b3fd7f31b4a090"),
+    (7, "x^3 - 6", 3, 7, 0, "b67732c32490b85ab9892fd8c8ad0db7e6716319a5dbdcfc883ccf8ffa47367a"),
+    (7, "x^3 - 6", 3, 300, 0, "784e7afbaa1f936d00bfd2fc5e1adb033a939892be907498359be5add3f01658"),
+    (7, "x^2 - 392", F(7, 8), 64, 1, "38da108ef2f644f4de3c7c088a3f4d155b470bc95d9b75485c229fad294b71a3"),
+    (101, "x^2 + 1", 10, 1, 0, "d800a79db48fc02da30988ac0293261302879045488cfba89108586d69198cdd"),
+    (101, "x^2 + 1", 10, 300, 0, "e1e8a1d4b497d5611f3029fe33570981dff230b0856afa8ad25cd98c022506f7"),
+    (101, "x^2 + 10201", 1010, 7, 1, "66ffee1d6219c1b0799592045d1d7cc6ee8d2f0d27f12a5cc79696939fbeebee"),
+    (101, "x^2 + 1/102", 10, 64, 0, "eb187ef19ad179f9d7e715d2b8dd06db53345dc264e6373bab7e6b3ad255a2a8"),
+])
+def test_golden_records(p, poly, seed, k, e, digest):
+    cert = lift(parse_poly(poly, p), seed, k)
+    assert cert.checks_passed and cert.hypothesis.e == e
+    record = json.dumps(certificate_to_record(cert))
+    assert hashlib.sha256(record.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+@pytest.mark.parametrize("w", [1, 2, 3, 64, 1000, 3001])
+def test_unit_inverse(p, w):
+    modulus = p**w
+    rng = random.Random(p * w)
+    units = [1, modulus - 1] + [rng.randrange(modulus) // p * p + rng.randrange(1, p)
+                                for _ in range(5)]
+    for h in units:
+        assert h * _unit_inverse(h, p, w) % modulus == 1
+
+
+def test_verify_rejects_a_huge_trace_index():
+    cert = lift(parse_poly("x^2 - 6", 5), 1, 8)
+    last = dataclasses.replace(cert.trace[-1], n=2**62)
+    with time_limit(2):
+        result = verify_certificate(dataclasses.replace(cert, trace=cert.trace[:-1] + (last,)))
+    assert not result and "trace_indices" in result.failures

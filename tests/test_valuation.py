@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nonzero_rationals, primes
+from conftest import nonzero_rationals, primes, time_limit
 from padic import (
     ExtVal,
     IndeterminateValuation,
@@ -147,3 +147,26 @@ def test_norm_multiplicative(p, q, r):
 @given(primes, st.integers(-10**9, 10**9))
 def test_val_rat_agrees_with_val_int(p, z):
     assert padic_val_rat(p, Fraction(z)) == (padic_val_int(p, z) if z else 0)
+
+
+def _naive_val(p, z):
+    v = 0
+    while z % p == 0:
+        z //= p
+        v += 1
+    return v
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7, 13, 101, 2**61 - 1)), st.integers(0, 3000),
+       st.integers(0, 10**20), st.integers(0, 10**6), st.booleans())
+def test_val_int_matches_a_naive_loop(p, v, a, r, negative):
+    u = a * p + 1 + r % (p - 1)  # a unit
+    z = (-1) ** negative * p**v * u
+    assert padic_val_int(p, z) == _naive_val(p, z) == v
+    assert padic_val_int(p, 0) == 0
+
+
+def test_val_int_is_fast_at_a_huge_valuation():
+    with time_limit(3):
+        assert padic_val_int(5, 5**100_000 * 7) == 100_000
