@@ -18,21 +18,30 @@ residual norm is squared each step) while ``nu(f'(a_n)) = e`` stays put.
 The root satisfies ``nu(root - a) = m - e`` and is the only root z with
 ``nu(z - a) > e``.
 
-Iterates are computed modulo ``p**(k + e)`` and reported modulo ``p**k``:
-the division by ``f'`` costs exactly ``e`` digits of absolute precision,
-and one slack of ``e`` suffices because the derivative valuation never
-drifts.  The division itself multiplies by the inverse of the unit part
-of ``f'(a_n)``, computed by the p-adic Newton inverse ``x -> x*(2 - h*x)``
-(which doubles the correct digits per step) rather than by an extended
-Euclid modulo ``p**(k + e)``.  Valuations recorded in the trace are exact
-values of ``f`` at the integer representatives; any bound involving them
-is capped at the working precision ``k + e``, beyond which a residue
-cannot witness a valuation.
+Newton steps work at a doubling precision read off the measured
+valuations.  Step 0 is the seed itself, whose ``v_0 = m`` the hypothesis
+measured; with ``v_n = nu(f(a_n))``, the update ``a_(n+1)`` is computed
+modulo ``p**w`` for ``w = min(2*v_n - e, k + e)``.  Cutting ``a_(n+1)``
+there moves f by valuation at least ``e + w``, which is ``2*v_n`` or
+``k + 2e``, no less than Newton's own ``nu(f(a_(n+1))) >= 2*v_n - 2e``, so
+the residual valuations still double and only the last steps pay for the
+full ``p**(k + e)``: the k digits reported plus the e that dividing by
+``f'`` costs.  The iteration stops once ``v_n >= k + e`` (or
+``f(a_n) = 0``) and reports ``a_n`` modulo ``p**k``.  Evaluation is integer
+Horner on ``d*f``, where d clears the denominators; d is a p-adic unit, so
+valuations and the Newton quotient are those of f.  The division
+multiplies by the inverse of the unit part of ``f'(a_n)``, computed by the
+p-adic Newton inverse ``x -> x*(2 - h*x)`` (which doubles the correct
+digits per pass) rather than by an extended Euclid.  Valuations recorded
+in the trace are exact values of ``f`` at the integer iterates; any bound
+involving them is capped at ``k + e``, beyond which a residue cannot
+witness a valuation.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,7 +52,7 @@ from .errors import (
     NotAnInteger,
     PrecisionExhausted,
 )
-from .number import rational_residue
+from .number import _horner, rational_residue
 from .polynomial import PadicPoly
 from .valuation import padic_val_int, padic_val_rat
 
@@ -139,9 +148,19 @@ def check_hypothesis(f: PadicPoly, a) -> Hypothesis:
     return Hypothesis(e=e, m=m, t=m - 2 * e)
 
 
-def _val(p: int, x: Fraction) -> int | None:
-    """nu(x), or None when x = 0 (valuation +infinity)."""
-    return None if x == 0 else padic_val_rat(p, x)
+def _val(p: int, x: int | Fraction, floor: int = 0) -> int | None:
+    """nu(x), or None when x = 0 (valuation +infinity).
+
+    An integer x whose valuation likely reaches ``floor`` has p**floor
+    divided out in one step, where square-and-divide would spend several
+    big divisions finding it; any floor gives the exact valuation.
+    """
+    if x == 0:
+        return None
+    if floor < 1:
+        return padic_val_rat(p, x)
+    q, r = divmod(x, p**floor)
+    return padic_val_int(p, r) if r else floor + padic_val_int(p, q)
 
 
 def _visible(v: int | None, k: int) -> int:
@@ -164,48 +183,50 @@ def _unit_inverse(h: int, p: int, w: int) -> int:
     """The inverse of the p-adic unit ``h`` modulo p**w, by Newton iteration.
 
     An inverse x mod p**ceil(w/2) gives one mod p**w as x*(2 - h*x): each
-    step doubles the correct digits, starting from the inverse mod p, so
+    pass doubles the correct digits, starting from the inverse mod p, so
     the cost is a few products at the final size rather than an extended
     Euclid on p**w.
     """
-    if w <= 1:
-        return pow(h % p, -1, p)
-    x = _unit_inverse(h, p, (w + 1) // 2)
-    modulus = p**w
-    return x * (2 - h % modulus * x) % modulus
+    precisions = []
+    while w > 1:
+        precisions.append(w)
+        w = (w + 1) // 2
+    x = pow(h % p, -1, p)
+    for w in reversed(precisions):
+        modulus = p**w
+        x = x * (2 - h % modulus * x) % modulus
+    return x
 
 
-def _step(
-    f: PadicPoly, fprime: PadicPoly, a: int, e: int, k: int, w: int
-) -> tuple[int | None, int | None, int | None]:
-    """One Newton step at the integer ``a``, working modulo p**w.
+def _cleared(f: PadicPoly) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Integer coefficients of d*f and of its derivative, d the lcm of f's denominators.
 
-    Returns nu(f(a)), nu(f'(a)) (None for an exact zero) and the update
-    a - f(a)/f'(a) mod p**w.  The update is ``a`` itself once
-    f(a) = 0 mod p**w, and None when it is undefined because
-    nu(f'(a)) != e or nu(f(a)) <= e.  Raises :class:`PrecisionExhausted`
-    when the target exponent ``k`` does not exceed ``e``.
+    d is a p-adic unit, so d*f has the valuations and the Newton quotient
+    f/f' of f, and Horner evaluates it in integers rather than Fractions.
     """
-    p = f.p
+    d = math.lcm(*(c.denominator for c in f.coeffs))
+    ints = tuple(c.numerator * (d // c.denominator) for c in f.coeffs)
+    return ints, tuple(i * c for i, c in enumerate(ints) if i)
+
+
+def _require_room(k: int, e: int):
+    """Refuse a target exponent k that leaves no digit below nu(f'(a)) = e."""
     if k - e <= 0:
         raise PrecisionExhausted(
             f"target exponent {k} leaves no room below nu(f'(a)) = {e}"
         )
-    modulus = p**w
-    a = a % modulus
-    fa = f.eval_exact(a)
-    val_f = _val(p, fa)
-    fpa = fprime.eval_exact(a)
-    val_fp = _val(p, fpa)
-    if val_f is None or val_f >= w:
-        return val_f, val_fp, a
-    if val_fp != e or val_f <= e:
-        return val_f, val_fp, None
-    # divide out p**e exactly; what remains of f'(a) is a unit mod p**w
-    scale = Fraction(p**e)
-    g = rational_residue(fa / scale, modulus)
-    h = rational_residue(fpa / scale, modulus)
-    return val_f, val_fp, (a - g * _unit_inverse(h, p, w)) % modulus
+
+
+def _step(p: int, a: int, fa: int, fpa: int, e: int, w: int) -> int:
+    """The Newton update a - f(a)/f'(a) modulo p**w.
+
+    ``fa`` and ``fpa`` are f(a) and f'(a), or both times one p-adic unit,
+    with nu(f'(a)) = e < nu(f(a)).  Dividing both by p**e exactly leaves
+    f'(a) a unit, which :func:`_unit_inverse` inverts modulo p**w.
+    """
+    scale, modulus = p**e, p**w
+    g = fa // scale % modulus
+    return (a - g * _unit_inverse(fpa // scale, p, w)) % modulus
 
 
 def newton_step(f: PadicPoly, a_n: int, hyp: Hypothesis, k: int) -> int:
@@ -214,24 +235,30 @@ def newton_step(f: PadicPoly, a_n: int, hyp: Hypothesis, k: int) -> int:
     Requires nu(f(a_n)) >= e + 1 so the quotient is an integer.  When
     a_n is already a root modulo p**k the step is the identity.
     """
-    e = hyp.e
-    val_f, _, update = _step(f, f.derivative(), a_n, e, k, k)
-    if update is None:
-        if val_f < e + 1:
-            raise ValueError(f"newton step needs nu(f(a_n)) > {e}, got {val_f}")
+    p, e = f.p, hyp.e
+    _require_room(k, e)
+    ints, dints = _cleared(f)
+    a_n %= p**k
+    fa, fpa = _horner(ints, a_n, 0), _horner(dints, a_n, 0)
+    val_f = _val(p, fa)
+    if val_f is None or val_f >= k:
+        return a_n
+    if val_f < e + 1:
+        raise ValueError(f"newton step needs nu(f(a_n)) > {e}, got {val_f}")
+    if _val(p, fpa) != e:
         raise ValueError("derivative valuation at a_n does not match e")
-    return update
+    return _step(p, a_n, fa, fpa, e, k)
 
 
 def lift(f: PadicPoly, a, k: int) -> HenselCertificate:
     """Lift the seed to a certified root of f modulo p**k.
 
-    Iterates Newton steps until the correction has valuation at least
-    ``k`` (so the reported residue equals the true root's residue, not
-    merely an approximate zero), recording each state in the trace.
-    When f(a) = 0 exactly the seed itself is returned with an empty
-    trace.  The returned certificate has been re-checked by
-    :func:`verify_certificate`.
+    Iterates Newton steps at a doubling working precision until
+    nu(f(a_n)) >= k + e, so the correction has valuation at least ``k``
+    and the reported residue equals the true root's residue, not merely
+    an approximate zero; each state goes into the trace.  When f(a) = 0
+    exactly the seed itself is returned with an empty trace.  The
+    returned certificate has been re-checked by :func:`verify_certificate`.
     """
     p = f.p
     if not isinstance(k, int) or k < 1:
@@ -244,11 +271,14 @@ def lift(f: PadicPoly, a, k: int) -> HenselCertificate:
     if not hyp.degenerate:
         e, t = hyp.e, hyp.t
         kw = k + e
-        fprime = f.derivative()
-        cur = rational_residue(a, p**kw)
+        _require_room(k, e)
+        ints, dints = _cleared(f)
+        # the seed mod p**(2m) keeps nu(f) = m and the precision step 1 needs
+        cur, floor = rational_residue(a, p ** (2 * hyp.m)), hyp.m
         for n in range(MAX_STEPS + 1):
-            val_f, val_fp, update = _step(f, fprime, cur, e, k, kw)
-            if val_fp != e:
+            fa, fpa = _horner(ints, cur, 0), _horner(dints, cur, 0)
+            val_f = _val(p, fa, floor)
+            if _val(p, fpa) != e:
                 raise InternalBoundViolation(
                     f"derivative valuation drifted from {e} at step {n}"
                 )
@@ -256,13 +286,14 @@ def lift(f: PadicPoly, a, k: int) -> HenselCertificate:
                 raise InternalBoundViolation(
                     f"induction bound broken at step {n}: nu(f(a_n)) = {val_f}"
                 )
-            trace.append(LiftStep(n, cur % mod_k, val_f))
-            if update == cur:
+            trace.append(LiftStep(n, root, val_f))
+            if val_f is None or val_f >= kw:
                 break
-            cur = update
+            cur = _step(p, cur, fa, fpa, e, min(2 * val_f - e, kw))
+            root = cur % mod_k
+            floor = min(2 * val_f - 2 * e, kw)  # Newton's quadratic bound
         else:
             raise InternalBoundViolation(f"no convergence within {MAX_STEPS} steps")
-        root = cur % mod_k
 
     cert = HenselCertificate(p, f, a, k, hyp, tuple(trace), root, False)
     return dataclasses.replace(cert, checks_passed=bool(verify_certificate(cert)))
@@ -271,11 +302,14 @@ def lift(f: PadicPoly, a, k: int) -> HenselCertificate:
 def verify_certificate(cert: HenselCertificate) -> VerificationResult:
     """Re-check every certificate invariant from scratch.
 
-    Re-evaluates f at the root and at every trace residue, recomputes the
-    hypothesis exponents, and checks the induction bound, the quadratic
-    growth of residual valuations, the pairwise distance law between
-    iterates, and the step-count bound.  Returns a falsy result carrying
-    the labels of all failed checks; never raises.
+    Recomputes the hypothesis exponents exactly at the seed.  Everything
+    else it checks reads only valuations visible below ``k``, so it
+    evaluates f and f' by integer Horner modulo p**k, on coefficients
+    reduced once: f at the root and at every trace residue, f' at the
+    root.  It checks the induction bound, the quadratic growth of residual
+    valuations, the distance law between consecutive iterates, and the
+    step-count bound.  Returns a falsy result carrying the labels of all
+    failed checks, at most one per check and trace step; never raises.
 
     Before any check runs, a certificate of the wrong shape is rejected
     with the single label ``malformed``: a field of the wrong type, f
@@ -289,10 +323,9 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
     hyp = cert.hypothesis
     e = hyp.e
     mod_k = p**k
-    fprime = f.derivative()
 
     fa = f.eval_exact(cert.a)
-    if _val(p, fprime.eval_exact(cert.a)) != e:
+    if _val(p, f.derivative().eval_exact(cert.a)) != e:
         fails.append("hypothesis_e")
     m_true = _val(p, fa)
     if hyp.m != m_true:
@@ -302,13 +335,25 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
     if not hyp.degenerate and hyp.t != hyp.m - 2 * e:
         fails.append("hypothesis_strength")
 
+    f_k = [rational_residue(c, mod_k) for c in f.coeffs]
+    fprime_k = [i * c % mod_k for i, c in enumerate(f_k) if i]
+
+    # f mod p**k at the root and at each trace residue, once per point
+    f_at = {x: _horner(f_k, x % mod_k, 0) % mod_k
+            for x in (cert.root, *(step.residue for step in cert.trace))}
+
+    def shows(value: int, v: int | None) -> bool:
+        """Whether a residue mod p**k witnesses the valuation v, capped at k."""
+        want = _visible(v, k)
+        return _visible(_val(p, value, want), k) == want
+
     seed_res = rational_residue(cert.a, mod_k)
-    if rational_residue(f.eval_exact(cert.root), mod_k) != 0:
+    if f_at[cert.root] != 0:
         fails.append("root_residue")
     if (cert.root - seed_res) % p ** min(e + 1, k) != 0:
         fails.append("root_near_seed")
 
-    if _visible(_val(p, fprime.eval_exact(cert.root)), k) != _visible(e, k):
+    if not shows(_horner(fprime_k, cert.root % mod_k, 0) % mod_k, e):
         fails.append("derivative_stability")
 
     measured = _distance(p, mod_k, cert.root, seed_res)
@@ -338,8 +383,7 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
     for step in cert.trace:
         if step.val_f is not None and step.val_f < _capped(2 * e, t, step.n, cap):
             fails.append(f"trace_ih_{step.n}")
-        v_n = _val(p, f.eval_exact(step.residue))
-        if _visible(v_n, k) != _visible(step.val_f, k):
+        if not shows(f_at[step.residue], step.val_f):
             fails.append(f"trace_reval_{step.n}")
 
     for s1, s2 in zip(cert.trace, cert.trace[1:]):
@@ -349,12 +393,14 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
         if s2.val_f is not None and s2.val_f < min(2 * s1.val_f - 2 * e, cap):
             fails.append(f"trace_quadratic_{s2.n}")
 
-    for i, si in enumerate(cert.trace):
-        bound = _capped(e, t, si.n, k)
-        for sj in cert.trace[i + 1:]:
-            d = _distance(p, mod_k, sj.residue, si.residue)
-            if d is not None and d < bound:
-                fails.append(f"trace_distance_{si.n}_{sj.n}")
+    # Consecutive pairs suffice: the bound never decreases in n, and
+    # nu(r_j - r_i) >= min(nu(r_(l+1) - r_l) for i <= l < j) by the
+    # ultrametric inequality, so every pair then keeps its bound too.  (A
+    # trace whose indices are out of order already fails trace_indices;
+    # a negative index makes the bound fractional, hence the ceil.)
+    for s1, s2 in zip(cert.trace, cert.trace[1:]):
+        if (s2.residue - s1.residue) % p ** math.ceil(_capped(e, t, s1.n, k)):
+            fails.append(f"trace_distance_{s1.n}_{s2.n}")
 
     # quadratic convergence: steps needed is log-sized in (k - e)/t
     steps_taken = len(cert.trace) - 1

@@ -101,7 +101,7 @@ def test_lift_text(capsys):
     )
     assert code == 0
     assert "root: 516" in out
-    assert "n=1  a_n=316" in out
+    assert "n=1  a_n=16" in out
     assert "verified: true" in out
 
 
@@ -193,7 +193,7 @@ p: 5  seed: 1  target: 5^4
 hypothesis: e=0  m=1  t=1
 trace:
   n=0  a_n=1  nu(f(a_n))=1
-  n=1  a_n=316  nu(f(a_n))=2
+  n=1  a_n=16  nu(f(a_n))=3
   n=2  a_n=516  nu(f(a_n))=4
 root: 516
 nu(root - seed): 1
@@ -227,7 +227,7 @@ verified: true
 LIFT_RECORDS = {
     ("5", "4", "x^2 - 6"): {
         "p": 5, "f": ["-6", "0", "1"], "a": "1", "K": 4, "e": 0, "m": 1, "t": 1,
-        "trace": [[0, 1, 1], [1, 316, 2], [2, 516, 4]],
+        "trace": [[0, 1, 1], [1, 16, 3], [2, 516, 4]],
         "root": 516, "checks_passed": True,
     },
     ("2", "9", "x^2 - 17"): {

@@ -1,8 +1,10 @@
+import collections
 import dataclasses
 import hashlib
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,7 @@ from padic import (
     unique_in_neighborhood,
     verify_certificate,
 )
+from padic import hensel
 from padic.hensel import _unit_inverse
 
 F = Fraction
@@ -95,8 +98,8 @@ def test_newton_step_rejects_an_undefined_update():
 def test_lift_sqrt6():
     cert = lift(parse_poly("x^2 - 6", 5), 1, 4)
     assert cert.root == 516
-    assert [s.val_f for s in cert.trace] == [1, 2, 4]
-    assert [s.residue for s in cert.trace] == [1, 316, 516]
+    assert [s.val_f for s in cert.trace] == [1, 3, 4]
+    assert [s.residue for s in cert.trace] == [1, 16, 516]
     assert cert.dist_exponent == cert.hypothesis.m - cert.hypothesis.e == 1
     assert cert.checks_passed
     assert verify_certificate(cert)
@@ -336,6 +339,13 @@ def _with_step_copies(cert):
     return dataclasses.replace(cert, trace=cert.trace + extra)
 
 
+def _with_last_residue_moved(cert):
+    """Move the last iterate and the root by p**3, below the distance bound 4."""
+    last = cert.trace[-1]
+    moved = dataclasses.replace(last, residue=last.residue + 5**3)
+    return dataclasses.replace(cert, trace=cert.trace[:-1] + (moved,), root=moved.residue)
+
+
 @pytest.mark.parametrize("poly, seed, k, mutate, label, alone", [
     ("x^2 - 6", 1, 8, lambda c: dataclasses.replace(
         c, hypothesis=dataclasses.replace(c.hypothesis, m=None)),
@@ -350,6 +360,10 @@ def _with_step_copies(cert):
      "trace_empty", True),
     ("x^2 - 4", 2, 5, lambda c: dataclasses.replace(c, root=7),
      "degenerate_root", False),
+    ("x^2 - 6", 1, 8, lambda c: dataclasses.replace(
+        c, trace=c.trace[:1] + (dataclasses.replace(c.trace[1], val_f=2),) + c.trace[2:]),
+     "trace_reval_1", True),
+    ("x^2 - 6", 1, 8, _with_last_residue_moved, "trace_distance_2_3", False),
 ])
 def test_verify_fires_each_label(poly, seed, k, mutate, label, alone):
     cert = lift(parse_poly(poly, 5), seed, k)
@@ -360,38 +374,151 @@ def test_verify_fires_each_label(poly, seed, k, mutate, label, alone):
         assert result.failures == (label,)
 
 
+def _digest(record):
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
+
+
+# The records that the lifter working at the full p**(k + e) from step 0
+# gave for the cases below, keyed by their sha256 (the ``old`` digests).
+GOLDEN = json.loads((Path(__file__).parent / "golden_records.json").read_text())
+# the precision-doubling lifter changes trace residues and valuations only
+SAME_FIELDS = ("p", "f", "a", "K", "e", "m", "t", "root", "checks_passed")
+
+
 # sha256 of json.dumps(certificate_to_record(lift(parse_poly(f, p), a, k))),
-# pinned so that a faster lift cannot silently change a record
-@pytest.mark.parametrize("p, poly, seed, k, e, digest", [
-    (2, "x^2 - 17", 1, 7, 1, "cdd35388015c9089fd062abc3671f1de6034b3fc21db8fe6940692e749493961"),
-    (2, "x^2 - 17", 1, 300, 1, "abf1123e12ebbdbc54cd1a4bd39083d33f8ce3740735a1a2690e82f84ac42f14"),
-    (2, "x^3 - 3", 1, 1, 0, "af6d944ce036c2df4a362e53e4d47ff7388396c3349e7099a572d611b19fe580"),
-    (2, "x^3 - 3", 1, 64, 0, "94da0c452d48885add098935288b249832085c5510ca94a4b53792941e8bce00"),
-    (2, "x^2 - 68", 2, 64, 2, "1db02c4e6e510ff975f7742cd22773fc49ed9d2c43e5ae82b05c11cece3e95a3"),
-    (3, "x^2 - 7", 1, 1, 0, "827c681e427f779fe67bc0a8ff798357fa6490918319666cc623e3eb1989325a"),
-    (3, "x^3 - 28", 1, 7, 1, "a31ff34e3ca464feb53512e5a022cdc9889c53f052662552087d22eb7af3dbcf"),
-    (3, "x^3 - 28", 1, 300, 1, "b1b8b81e11d025de4b1df1d2ffef13f2b6da0b33460c7a23482cb1b26d08b8fa"),
-    (3, "x^2 - 567", 9, 64, 2, "8042defc03fc8cc95a526037aab034de44eb180388d286db9163aa2e30370047"),
-    (3, "x^4 + x + 1", 1, 300, 0, "90a63add58b1bbd1d79af632af502af8024b5355afd7c05884cdba700470a7b1"),
-    (3, "x^2 - 4", 2, 7, 0, "9a9732df93b964471b95d6879c600644b81c5fd0a50072d4f38902dbe2ab1f61"),
-    (5, "x^2 - 6", 1, 1, 0, "89d4a04242baa85771d024a5358a7f849dcea554e712fdaf743d1aad2bb5289f"),
-    (5, "x^2 - 6", F(1, 6), 64, 0, "1c71a0e2771d0c98a24b03e2fdee6a8c72b97cde28f980d4276ab3a0332b3491"),
-    (5, "x^2 - 6/11", 1, 300, 0, "0f9cbd582bef0331df9549a1d5f315f1dd3e0ea268c6b1ea0c56b45bad430257"),
-    (5, "x^2 - 150", 5, 7, 1, "2c57792d79e4cf7fd3886186e4354a674c916e9430bcf5e02a51053dc35a2a6b"),
-    (5, "x^2 - 3750", 25, 64, 2, "8ce93b75265582b2c637f8c9b26971d4edb2415a6ecbc9dcf0b3fd7f31b4a090"),
-    (7, "x^3 - 6", 3, 7, 0, "b67732c32490b85ab9892fd8c8ad0db7e6716319a5dbdcfc883ccf8ffa47367a"),
-    (7, "x^3 - 6", 3, 300, 0, "784e7afbaa1f936d00bfd2fc5e1adb033a939892be907498359be5add3f01658"),
-    (7, "x^2 - 392", F(7, 8), 64, 1, "38da108ef2f644f4de3c7c088a3f4d155b470bc95d9b75485c229fad294b71a3"),
-    (101, "x^2 + 1", 10, 1, 0, "d800a79db48fc02da30988ac0293261302879045488cfba89108586d69198cdd"),
-    (101, "x^2 + 1", 10, 300, 0, "e1e8a1d4b497d5611f3029fe33570981dff230b0856afa8ad25cd98c022506f7"),
-    (101, "x^2 + 10201", 1010, 7, 1, "66ffee1d6219c1b0799592045d1d7cc6ee8d2f0d27f12a5cc79696939fbeebee"),
-    (101, "x^2 + 1/102", 10, 64, 0, "eb187ef19ad179f9d7e715d2b8dd06db53345dc264e6373bab7e6b3ad255a2a8"),
+# pinned so that a faster lift cannot silently change a record: ``old`` for
+# the full-precision lifter's record in GOLDEN, ``new`` for today's lift
+@pytest.mark.parametrize("p, poly, seed, k, e, old, new", [
+    (2, "x^2 - 17", 1, 7, 1,
+     "cdd35388015c9089fd062abc3671f1de6034b3fc21db8fe6940692e749493961",
+     "cdd35388015c9089fd062abc3671f1de6034b3fc21db8fe6940692e749493961"),
+    (2, "x^2 - 17", 1, 300, 1,
+     "abf1123e12ebbdbc54cd1a4bd39083d33f8ce3740735a1a2690e82f84ac42f14",
+     "8609b950befc29a53d668d7821552789a26524f6b08c155035730df14875ae18"),
+    (2, "x^3 - 3", 1, 1, 0,
+     "af6d944ce036c2df4a362e53e4d47ff7388396c3349e7099a572d611b19fe580",
+     "af6d944ce036c2df4a362e53e4d47ff7388396c3349e7099a572d611b19fe580"),
+    (2, "x^3 - 3", 1, 64, 0,
+     "94da0c452d48885add098935288b249832085c5510ca94a4b53792941e8bce00",
+     "ef15e93705cd4cddaacacf74065c84e281f74189d86115019c805dfe8c2bbf6e"),
+    (2, "x^2 - 68", 2, 64, 2,
+     "1db02c4e6e510ff975f7742cd22773fc49ed9d2c43e5ae82b05c11cece3e95a3",
+     "ace77671ebc2230d700bc1200cc4cc45020c1592f54a846576a91d4eb224526f"),
+    (3, "x^2 - 7", 1, 1, 0,
+     "827c681e427f779fe67bc0a8ff798357fa6490918319666cc623e3eb1989325a",
+     "827c681e427f779fe67bc0a8ff798357fa6490918319666cc623e3eb1989325a"),
+    (3, "x^3 - 28", 1, 7, 1,
+     "a31ff34e3ca464feb53512e5a022cdc9889c53f052662552087d22eb7af3dbcf",
+     "a31ff34e3ca464feb53512e5a022cdc9889c53f052662552087d22eb7af3dbcf"),
+    (3, "x^3 - 28", 1, 300, 1,
+     "b1b8b81e11d025de4b1df1d2ffef13f2b6da0b33460c7a23482cb1b26d08b8fa",
+     "21c3a7fc459377291f2faa20a8f7d99d74386405a00ab7d4acfc3c7351fe6570"),
+    (3, "x^2 - 567", 9, 64, 2,
+     "8042defc03fc8cc95a526037aab034de44eb180388d286db9163aa2e30370047",
+     "89210f047010354ef6ddfd16873c126f0fa772dd21a9a51d0b3aae01ee23dfbe"),
+    (3, "x^4 + x + 1", 1, 300, 0,
+     "90a63add58b1bbd1d79af632af502af8024b5355afd7c05884cdba700470a7b1",
+     "033bea8b1fd014e30776e20c8fdee0fc11ac0328d649401f3b95b3f9452dcaa9"),
+    (3, "x^2 - 4", 2, 7, 0,
+     "9a9732df93b964471b95d6879c600644b81c5fd0a50072d4f38902dbe2ab1f61",
+     "9a9732df93b964471b95d6879c600644b81c5fd0a50072d4f38902dbe2ab1f61"),
+    (5, "x^2 - 6", 1, 1, 0,
+     "89d4a04242baa85771d024a5358a7f849dcea554e712fdaf743d1aad2bb5289f",
+     "89d4a04242baa85771d024a5358a7f849dcea554e712fdaf743d1aad2bb5289f"),
+    (5, "x^2 - 6", F(1, 6), 64, 0,
+     "1c71a0e2771d0c98a24b03e2fdee6a8c72b97cde28f980d4276ab3a0332b3491",
+     "ff2d2e3a54063312381745271d64b5b6f9152c78e9f1e8bce247e925b9eec50e"),
+    (5, "x^2 - 6/11", 1, 300, 0,
+     "0f9cbd582bef0331df9549a1d5f315f1dd3e0ea268c6b1ea0c56b45bad430257",
+     "76b9b810cde2ae1eaf8cd115b8a56fdb001ee869184036b195d890379607abae"),
+    (5, "x^2 - 150", 5, 7, 1,
+     "2c57792d79e4cf7fd3886186e4354a674c916e9430bcf5e02a51053dc35a2a6b",
+     "3afe704d53cba4a73f38ab87f6711c6406610b56e4541fe8e95c176238f4c7d9"),
+    (5, "x^2 - 3750", 25, 64, 2,
+     "8ce93b75265582b2c637f8c9b26971d4edb2415a6ecbc9dcf0b3fd7f31b4a090",
+     "0aa1ad4f1692417cbba0781113f2cbee8cdb4594487623b2b353dac9928e9174"),
+    (7, "x^3 - 6", 3, 7, 0,
+     "b67732c32490b85ab9892fd8c8ad0db7e6716319a5dbdcfc883ccf8ffa47367a",
+     "fd89418879470fe7f96481026a821d1657ad19a78e19962d65f896e48c429e71"),
+    (7, "x^3 - 6", 3, 300, 0,
+     "784e7afbaa1f936d00bfd2fc5e1adb033a939892be907498359be5add3f01658",
+     "fb9d0adfaa40a30653501f5497521d7bda8436fdb16cdf0c03900748c4dc9847"),
+    (7, "x^2 - 392", F(7, 8), 64, 1,
+     "38da108ef2f644f4de3c7c088a3f4d155b470bc95d9b75485c229fad294b71a3",
+     "967359672e7284a9be98e5de2e74dc5a9761758b7f646be151460a904ef25b30"),
+    (101, "x^2 + 1", 10, 1, 0,
+     "d800a79db48fc02da30988ac0293261302879045488cfba89108586d69198cdd",
+     "d800a79db48fc02da30988ac0293261302879045488cfba89108586d69198cdd"),
+    (101, "x^2 + 1", 10, 300, 0,
+     "e1e8a1d4b497d5611f3029fe33570981dff230b0856afa8ad25cd98c022506f7",
+     "cb08c4ac14b54d8d35ef423ef77e0654e05b6b2f0d070c77cfdf2dabc502cb0e"),
+    (101, "x^2 + 10201", 1010, 7, 1,
+     "66ffee1d6219c1b0799592045d1d7cc6ee8d2f0d27f12a5cc79696939fbeebee",
+     "0a62a8b9ef9468bac718982844faa8e969c4ffa2ac53b11a288fad73d4536438"),
+    (101, "x^2 + 1/102", 10, 64, 0,
+     "eb187ef19ad179f9d7e715d2b8dd06db53345dc264e6373bab7e6b3ad255a2a8",
+     "8c9b99d9e21d60c6e75e5a64e728c0ee58a04f1d685951438514c47d9a34523b"),
 ])
-def test_golden_records(p, poly, seed, k, e, digest):
+def test_golden_records(p, poly, seed, k, e, old, new):
     cert = lift(parse_poly(poly, p), seed, k)
     assert cert.checks_passed and cert.hypothesis.e == e
-    record = json.dumps(certificate_to_record(cert))
-    assert hashlib.sha256(record.encode()).hexdigest() == digest
+    record = certificate_to_record(cert)
+    assert _digest(record) == new
+    pinned = GOLDEN[old]
+    assert _digest(pinned) == old
+    assert {x: record[x] for x in SAME_FIELDS} == {x: pinned[x] for x in SAME_FIELDS}
+
+
+@pytest.mark.parametrize("digest", list(GOLDEN))
+def test_golden_records_still_verify(digest):
+    assert verify_certificate(certificate_from_record(GOLDEN[digest]))
+
+
+def _raise_k(record):
+    """The smallest larger K at which the root is no longer a root mod p**K."""
+    p = record["p"]
+    value = sum(F(c) * record["root"] ** i for i, c in enumerate(record["f"]))
+    if value == 0:
+        return None  # an exact root: no raise of K makes a false claim
+    for K in range(record["K"] + 1, record["K"] + 65):
+        if value.numerator % p**K:
+            return {**record, "K": K}
+
+
+def _raise_a_visible_val_f(record):
+    """Raise by one the first valuation a residue mod p**K can witness."""
+    for i, (_, _, val_f) in enumerate(record["trace"]):
+        if val_f is not None and val_f < record["K"]:
+            return _with_step(record, i, 2, val_f + 1)
+    return None
+
+
+def _with_step(record, i, position, value):
+    trace = [list(step) for step in record["trace"]]
+    trace[i][position] = value
+    return {**record, "trace": trace}
+
+
+GOLDEN_MUTATIONS = {
+    "root": lambda r: {**r, "root": (r["root"] + 1) % r["p"] ** r["K"]},
+    "trace residue": lambda r: r["trace"] and _with_step(
+        r, len(r["trace"]) // 2, 1, r["trace"][len(r["trace"]) // 2][1] + 1),
+    "trace val_f lowered": lambda r: r["trace"] and _with_step(r, 0, 2, r["trace"][0][2] - 1),
+    "trace val_f raised": _raise_a_visible_val_f,
+    "m": lambda r: r["m"] is not None and {**r, "m": r["m"] + 1},
+    "t": lambda r: r["t"] is not None and {**r, "t": r["t"] + 1},
+    "raised K": _raise_k,
+    "a": lambda r: {**r, "a": str(F(r["a"]) + 1)},
+}
+
+
+@pytest.mark.parametrize("digest", list(GOLDEN))
+def test_golden_records_reject_each_mutation(digest):
+    record = GOLDEN[digest]
+    for kind, mutate in GOLDEN_MUTATIONS.items():
+        bad = mutate(record)
+        if bad:  # the degenerate record has no trace, m or t to change
+            assert not verify_certificate(certificate_from_record(bad)), kind
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 101])
@@ -411,3 +538,57 @@ def test_verify_rejects_a_huge_trace_index():
     with time_limit(2):
         result = verify_certificate(dataclasses.replace(cert, trace=cert.trace[:-1] + (last,)))
     assert not result and "trace_indices" in result.failures
+
+
+def test_verify_is_linear_in_the_trace_length():
+    cert = lift(parse_poly("x^2 - 6", 5), 1, 8)
+    rng = random.Random(8)
+    start = len(cert.trace)
+    extra = tuple(LiftStep(start + i, residue, rng.choice((None, 0, 1, 8, 12)))
+                  for i, residue in enumerate(rng.sample(range(5**8), 4000)))
+    trace = cert.trace + extra
+    with time_limit(2):
+        result = verify_certificate(dataclasses.replace(cert, trace=trace))
+    assert not result
+    checks = collections.Counter(label.rstrip("0123456789_") for label in result.failures)
+    assert checks["trace_distance"] > 0
+    assert max(checks.values()) <= len(trace)
+
+
+def _seeded_lifts():
+    """f = c0 + c1*(x - a) + c2*(x - a)**2 + (x - a)**3 with nu(c0) = 2e + t, nu(c1) = e."""
+    rng = random.Random(6)
+    for p in (2, 3, 5, 7, 101):
+        for e in (0, 1, 2):
+            for k in (1, 3, 8, 40, 200):
+                a, t = rng.randrange(p**2), rng.randint(1, 3)
+                c0, c1 = (p**v * (rng.randrange(p**3) * p + 1) for v in (2 * e + t, e))
+                x = PadicPoly(p, (-a, 1))
+                f = (PadicPoly(p, (c0,)) + PadicPoly(p, (c1,)) * x
+                     + PadicPoly(p, (rng.randrange(p**3),)) * x * x + x * x * x)
+                if k > e:
+                    yield f, a, k
+
+
+def test_working_exponents_follow_the_measured_valuations(monkeypatch):
+    exponents = []
+
+    def recording(h, p, w):
+        exponents.append(w)
+        return inverse(h, p, w)
+
+    inverse = hensel._unit_inverse
+    monkeypatch.setattr(hensel, "_unit_inverse", recording)
+    lifts = 0
+    for f, a, k in _seeded_lifts():
+        exponents.clear()
+        cert = lift(f, a, k)
+        e = cert.hypothesis.e
+        assert cert.checks_passed and not cert.degenerate
+        assert exponents == sorted(exponents)
+        assert exponents == [min(2 * s.val_f - e, k + e) for s in cert.trace[:-1]]
+        if exponents:
+            # only an update that lands on an exact root stops short of k + e
+            assert exponents[-1] == k + e or cert.trace[-1].val_f is None
+            lifts += 1
+    assert lifts > 30
