@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Randomized agreement experiment: certified lifting vs exhaustive scanning.
+"""Randomized agreement experiment: certified lifting vs the oracle's root list.
 
 Draws random polynomials over small primes, lifts every seed satisfying
 the weak hypothesis (f(a) = 0 and f'(a) != 0 mod p), and checks each root
-against brute-force enumeration modulo p^k.  Prints per-prime counts,
+against the oracle's list of every root modulo p^k.  Prints per-prime counts,
 trace-length statistics, and timing.
 
     python scripts/lift_vs_oracle.py --primes 3 5 7 --trials 200 -k 5

@@ -57,4 +57,4 @@ class InternalBoundViolation(PadicError):
 
 
 class DomainTooLarge(PadicError):
-    """The requested exhaustive scan exceeds the desk-scale guard."""
+    """The requested root enumeration exceeds the oracle's domain limit on p**k."""

@@ -169,8 +169,15 @@ def _visible(v: int | None, k: int) -> int:
 
 
 def _capped(c: int, t: int, n: int, cap: int) -> int:
-    """min(c + t*2**n, cap) for c >= 0, t >= 1, without building a huge 2**n."""
-    return cap if n >= cap.bit_length() else min(c + t * 2**n, cap)
+    """min(c + ceil(t*2**n), cap) for c >= 0, t >= 1, in integers only.
+
+    A huge n builds no huge 2**n, and a negative n (a tampered trace
+    index) no float, which would overflow for a huge t.  The ceiling keeps
+    ``v < bound`` the same test as against the exact fraction.
+    """
+    if n >= cap.bit_length():
+        return cap
+    return min(c + (t << n if n >= 0 else -(-t >> -n)), cap)
 
 
 def _distance(p: int, modulus: int, x: int, y: int) -> int | None:
@@ -396,10 +403,9 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
     # Consecutive pairs suffice: the bound never decreases in n, and
     # nu(r_j - r_i) >= min(nu(r_(l+1) - r_l) for i <= l < j) by the
     # ultrametric inequality, so every pair then keeps its bound too.  (A
-    # trace whose indices are out of order already fails trace_indices;
-    # a negative index makes the bound fractional, hence the ceil.)
+    # trace whose indices are out of order already fails trace_indices.)
     for s1, s2 in zip(cert.trace, cert.trace[1:]):
-        if (s2.residue - s1.residue) % p ** math.ceil(_capped(e, t, s1.n, k)):
+        if (s2.residue - s1.residue) % p ** _capped(e, t, s1.n, k):
             fails.append(f"trace_distance_{s1.n}_{s2.n}")
 
     # quadratic convergence: steps needed is log-sized in (k - e)/t

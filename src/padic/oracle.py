@@ -1,11 +1,14 @@
-"""Brute-force ground truth over Z/p**k Z.
+"""Ground truth over Z/p**k Z.
 
 The oracle shares no code with what it checks: it imports only the types
 under test, ``check_prime`` and ``DomainTooLarge``, and reads residues and
-p-integrality off numerators and denominators.  Roots are found by
-scanning every residue, and ring operations are cross-checked against
-plain rational arithmetic.  The scan is vectorized but still exhaustive,
-and the result is deterministic and sorted.
+p-integrality off numerators and denominators.  Roots are found by a
+digit tree (``_root_tree``).  It rests only on the fact that a root mod
+p**(j+1) reduces to a root mod p**j, so it is exact for any p-integral f
+without Hensel's hypothesis, and its work grows with the number of roots
+at each level rather than with p**k.  Ring operations are cross-checked
+against plain rational arithmetic.  The result is deterministic and
+sorted.
 """
 
 from __future__ import annotations
@@ -39,6 +42,28 @@ class OracleReport:
     filtered_roots: tuple[int, ...] | None = None
 
 
+def _root_tree(f: PadicPoly, k: int) -> np.ndarray:
+    """The roots of f mod p**k, ascending, found one p-adic digit at a time.
+
+    Level j holds the roots mod p**j.  Each root r there has the p
+    children r + i*p**j, and the children that are roots mod p**(j+1)
+    form level j + 1.  All children of a level are evaluated at once.
+    """
+    p = f.p
+    # Children are built digit-major, so each level stays ascending; int64
+    # is safe since p**k <= 1e7 keeps every product below 2**63.
+    level = np.zeros(1, dtype=np.int64)
+    pj = 1
+    for _ in range(k):
+        children = np.add.outer(np.arange(p, dtype=np.int64) * pj, level).ravel()
+        pj *= p
+        acc = np.zeros_like(children)
+        for c in reversed(f.coeffs):
+            acc = (acc * children + _residue(c, pj)) % pj
+        level = children[acc == 0]
+    return level
+
+
 def enumerate_roots(
     f: PadicPoly,
     k: int,
@@ -53,15 +78,10 @@ def enumerate_roots(
     p = f.p
     if k < 1:
         raise ValueError("k must be a positive integer")
-    modulus = p**k
-    if modulus > DOMAIN_LIMIT:
+    if p**k > DOMAIN_LIMIT:
         raise DomainTooLarge(f"{p}^{k} exceeds the scan limit {DOMAIN_LIMIT}")
-    # int64 is safe: modulus <= 1e7 so intermediate products stay below 2**63
-    xs = np.arange(modulus, dtype=np.int64)
-    acc = np.zeros(modulus, dtype=np.int64)
-    for c in reversed(f.coeffs):
-        acc = (acc * xs + _residue(c, modulus)) % modulus
-    roots = tuple(int(r) for r in np.nonzero(acc == 0)[0])
+    # the tree's level arrays are freed before the tuple of ints is built
+    roots = tuple(_root_tree(f, k).tolist())
     filtered = None
     if center is not None:
         if radius_exponent is None:

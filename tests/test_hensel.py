@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -331,6 +332,25 @@ def test_verify_labels_malformed_certificates_without_raising():
         with time_limit(5):
             result = verify_certificate(bad)
         assert not result and result.failures == ("malformed",)
+
+
+def test_capped_bound_is_the_exact_ceiling():
+    for c, t, cap in ((0, 1, 9), (2, 3, 40), (1, 10**400, 10**5)):
+        for n in range(-1400, 40, 7):
+            want = min(c + math.ceil(F(t) * F(2) ** n), cap)
+            assert hensel._capped(c, t, n, cap) == want, (c, t, n)
+
+
+def test_verify_rejects_a_negative_trace_index_with_a_huge_t():
+    # a negative index halves t in the induction bound; with t beyond the
+    # float range that bound must stay an integer rather than overflow
+    cert = lift(parse_poly("x^2 - 6", 5), 1, 8)
+    huge = dataclasses.replace(cert.hypothesis, m=10**400, t=10**400)
+    step0 = dataclasses.replace(cert.trace[0], n=-1)
+    bad = dataclasses.replace(cert, hypothesis=huge, trace=(step0,) + cert.trace[1:])
+    with time_limit(5):
+        result = verify_certificate(bad)
+    assert not result and "trace_indices" in result.failures
 
 
 def _with_step_copies(cert):

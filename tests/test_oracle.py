@@ -1,5 +1,8 @@
 import ast
+import collections
 import inspect
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -108,3 +111,95 @@ def test_crosscheck_deterministic():
     a = crosscheck_arith(5, 4, trials=100, rng_seed=9)
     b = crosscheck_arith(5, 4, trials=100, rng_seed=9)
     assert a == b
+
+
+def _scan(coeffs, p, k):
+    """Every root mod p**k by trying all residues: plain Python, no padic helpers."""
+    m = p**k
+    cs = [c.numerator * pow(c.denominator, -1, m) % m for c in coeffs]
+    roots = []
+    for x in range(m):
+        acc = 0
+        for c in reversed(cs):
+            acc = (acc * x + c) % m
+        if acc == 0:
+            roots.append(x)
+    return tuple(roots)
+
+
+def _nu(d, p):
+    v = 0
+    while d % p == 0:
+        d //= p
+        v += 1
+    return v
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _families(rng, p, m):
+    """One polynomial (coefficients from degree 0 up) of each family mod m = p**k."""
+    a = rng.randrange(m)
+    unit = rng.choice([u for u in range(1, 4 * p) if u % p])
+    den = rng.choice([u for u in range(2, 4 * p) if u % p])
+    g = [Fraction(rng.randrange(m)) for _ in range(rng.randint(0, 2))] + [Fraction(1)]
+    frob = [Fraction(0), Fraction(-1)] + [Fraction(0)] * (p - 2) + [Fraction(1)]
+    return {
+        "random": [Fraction(rng.randrange(-m, m)) for _ in range(rng.randint(2, 5))],
+        "root-free": [Fraction(unit)] + frob[1:],  # x^p - x + u is u mod p
+        "dense": _poly_mul([Fraction(a * a), Fraction(-2 * a), Fraction(1)], g),
+        "zero": [],
+        "constant": [Fraction(unit)],
+        "frobenius": frob,  # x^p - x vanishes at every residue mod p
+        "unit denominator": [
+            Fraction(rng.randrange(-m, m), den) for _ in range(rng.randint(2, 4))
+        ],
+    }
+
+
+def test_tree_agrees_with_an_exhaustive_scan():
+    rng = random.Random(20261018)
+    domains = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(1, 12) if p**k <= 3000]
+    nonempty = collections.Counter()
+    for p, k in domains * 2:
+        m = p**k
+        for family, coeffs in _families(rng, p, m).items():
+            want = _scan(coeffs, p, k)
+            center, radius = rng.randrange(-m, 2 * m), rng.randint(-1, k + 1)
+            report = enumerate_roots(
+                PadicPoly(p, coeffs), k, center=center, radius_exponent=radius
+            )
+            assert report.roots == want, (p, k, family)
+            # nu(r - center) > radius, a difference of 0 mod p**k counting as nu = oo
+            assert report.filtered_roots == tuple(
+                r for r in want
+                if (r - center) % m == 0 or _nu((r - center) % m, p) > radius
+            ), (p, k, family, center, radius)
+            nonempty[family] += bool(want)
+    assert nonempty["root-free"] == nonempty["constant"] == 0
+    assert {nonempty[f] for f in ("zero", "frobenius", "dense")} == {2 * len(domains)}
+
+
+def test_tree_work_follows_the_roots_not_the_domain():
+    # 7^8 = 5.76 M residues: a scan of all of them takes ~0.2 s per call
+    rng = random.Random(7)
+    with time_limit(3):
+        for _ in range(20):
+            coeffs = [Fraction(rng.randrange(7**8)) for _ in range(rng.randint(2, 4))]
+            f = PadicPoly(7, coeffs + [Fraction(1)])
+            roots = enumerate_roots(f, 8).roots
+            assert all(f.eval_exact(r) % 7**8 == 0 for r in roots)
+
+
+def test_wide_frontiers_keep_exactly_the_roots_in_order():
+    assert enumerate_roots(PadicPoly(3, ()), 9).roots == tuple(range(3**9))
+    # (x - a)^2 = 0 mod 2^22 exactly when nu(x - a) >= 11
+    a = 1234567
+    f = PadicPoly(2, (Fraction(a * a), Fraction(-2 * a), Fraction(1)))
+    assert enumerate_roots(f, 22).roots == tuple(range(a % 2**11, 2**22, 2**11))
