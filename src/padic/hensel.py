@@ -29,18 +29,31 @@ full ``p**(k + e)``: the k digits reported plus the e that dividing by
 ``f'`` costs.  The iteration stops once ``v_n >= k + e`` (or
 ``f(a_n) = 0``) and reports ``a_n`` modulo ``p**k``.  Evaluation is integer
 Horner on ``d*f``, where d clears the denominators; d is a p-adic unit, so
-valuations and the Newton quotient are those of f.  The division
-multiplies by the inverse of the unit part of ``f'(a_n)``, computed by the
-p-adic Newton inverse ``x -> x*(2 - h*x)`` (which doubles the correct
-digits per pass) rather than by an extended Euclid.  Valuations recorded
-in the trace are exact values of ``f`` at the integer iterates; any bound
-involving them is capped at ``k + e``, beyond which a residue cannot
-witness a valuation.
+valuations and the Newton quotient are those of f.
+
+The update itself runs at half precision.  With ``f(a_n) = p**v_n * u`` and
+``f'(a_n) = p**e * h``, the quotient is ``p**(v_n - e) * u / h``, so modulo
+``p**w`` it reads u and the inverse of the unit h only modulo
+``p**(w - v_n + e)``, about ``v_n`` digits; u is the quotient left over
+from measuring ``v_n``.  That inverse comes from the p-adic Newton inverse
+``x -> x*(2 - h*x)``, which doubles the correct digits per pass, and is
+carried from step to step: ``f'(x) - f'(y)`` is divisible by ``x - y`` and
+``nu(a_(n+1) - a_n) >= v_n - e``, so the inverse of one step's h is an
+inverse of the next one's to ``min(w - v_n + e, v_n - 2e)`` digits, and
+one or two passes refine it.
+
+Valuations recorded in the trace are exact values of ``f`` at the integer
+iterates; any bound involving them is capped at ``k + e``, beyond which a
+residue cannot witness a valuation.  :func:`verify_certificate` reads each
+residue only to the precision that decides its check: ``f`` at trace step
+n modulo ``p**(v_n + 1)`` (capped at k), ``f'`` at the root modulo
+``p**(e + 1)`` and ``f`` at the root modulo ``p**k``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,16 +164,38 @@ def check_hypothesis(f: PadicPoly, a) -> Hypothesis:
 def _val(p: int, x: int | Fraction, floor: int = 0) -> int | None:
     """nu(x), or None when x = 0 (valuation +infinity).
 
-    An integer x whose valuation likely reaches ``floor`` has p**floor
-    divided out in one step, where square-and-divide would spend several
-    big divisions finding it; any floor gives the exact valuation.
+    A ``floor`` of 1 or more needs an integer x and goes through
+    :func:`_split`; any floor gives the exact valuation.
     """
     if x == 0:
         return None
     if floor < 1:
         return padic_val_rat(p, x)
+    return _split(p, x, floor)[0]
+
+
+def _split(p: int, x: int, floor: int) -> tuple[int | None, int]:
+    """(nu(x), x / p**nu(x)) for an integer x, or (None, 0) when x = 0.
+
+    An x whose valuation likely reaches ``floor`` has p**floor divided out
+    in one step, where square-and-divide would spend several big divisions
+    finding it, and the quotient of that division is the unit part but for
+    the few factors of p left above the floor.  Any floor >= 0 gives the
+    exact valuation.
+    """
+    if x == 0:
+        return None, 0
     q, r = divmod(x, p**floor)
-    return padic_val_int(p, r) if r else floor + padic_val_int(p, q)
+    if r:  # the floor overshot
+        q, floor = x, 0
+    j = padic_val_int(p, q)
+    return floor + j, q // p**j if j else q
+
+
+def _has_val(p: int, x: int, e: int) -> bool:
+    """Whether nu(x) = e for an integer x and e >= 0, read from x mod p**(e + 1)."""
+    r = x % p ** (e + 1)
+    return r != 0 and r % p**e == 0
 
 
 def _visible(v: int | None, k: int) -> int:
@@ -186,19 +221,24 @@ def _distance(p: int, modulus: int, x: int, y: int) -> int | None:
     return None if d == 0 else padic_val_int(p, d)
 
 
-def _unit_inverse(h: int, p: int, w: int) -> int:
-    """The inverse of the p-adic unit ``h`` modulo p**w, by Newton iteration.
+def _unit_inverse(h: int, p: int, w: int, x: int = 0, known: int = 0) -> int:
+    """An inverse of the p-adic unit ``h`` modulo p**w, by Newton iteration.
 
     An inverse x mod p**ceil(w/2) gives one mod p**w as x*(2 - h*x): each
-    pass doubles the correct digits, starting from the inverse mod p, so
-    the cost is a few products at the final size rather than an extended
-    Euclid on p**w.
+    pass doubles the correct digits, so the cost is a few products at the
+    final size rather than an extended Euclid on p**w.  The passes start
+    from ``x``, an inverse of h modulo p**known, when ``known >= 1`` (an
+    inverse carried over from a nearby h), and else from the inverse mod
+    p.  When ``known >= w`` it is x itself, reduced no further.
     """
+    if known < 1:
+        x, known = pow(h % p, -1, p), 1
     precisions = []
-    while w > 1:
+    while w > known:
         precisions.append(w)
         w = (w + 1) // 2
-    x = pow(h % p, -1, p)
+    if precisions:
+        h %= p ** precisions[0]
     for w in reversed(precisions):
         modulus = p**w
         x = x * (2 - h % modulus * x) % modulus
@@ -224,16 +264,21 @@ def _require_room(k: int, e: int):
         )
 
 
-def _step(p: int, a: int, fa: int, fpa: int, e: int, w: int) -> int:
-    """The Newton update a - f(a)/f'(a) modulo p**w.
+def _step(p: int, a: int, u: int, v: int, h: int, e: int, w: int,
+          inv: int = 0, known: int = 0) -> tuple[int, int]:
+    """The Newton update a - f(a)/f'(a) modulo p**w, and the inverse it read.
 
-    ``fa`` and ``fpa`` are f(a) and f'(a), or both times one p-adic unit,
-    with nu(f'(a)) = e < nu(f(a)).  Dividing both by p**e exactly leaves
-    f'(a) a unit, which :func:`_unit_inverse` inverts modulo p**w.
+    ``u = f(a)/p**v`` and ``h = f'(a)/p**e``, or both times one p-adic
+    unit, with e < v and h a unit.  The quotient f(a)/f'(a) is
+    p**(v - e) * u / h, so modulo p**w it reads u and the inverse of h only
+    modulo p**(w - v + e): about half of w once w is near 2v.  That
+    inverse comes from :func:`_unit_inverse`, refining ``inv``, an inverse
+    of h modulo p**known, and is returned for the next step to carry.
     """
-    scale, modulus = p**e, p**w
-    g = fa // scale % modulus
-    return (a - g * _unit_inverse(fpa // scale, p, w)) % modulus
+    prec = w - v + e
+    inv = _unit_inverse(h, p, prec, inv, known)
+    modulus = p**prec
+    return (a - p ** (v - e) * (u % modulus * inv % modulus)) % p**w, inv
 
 
 def newton_step(f: PadicPoly, a_n: int, hyp: Hypothesis, k: int) -> int:
@@ -246,15 +291,15 @@ def newton_step(f: PadicPoly, a_n: int, hyp: Hypothesis, k: int) -> int:
     _require_room(k, e)
     ints, dints = _cleared(f)
     a_n %= p**k
-    fa, fpa = _horner(ints, a_n, 0), _horner(dints, a_n, 0)
-    val_f = _val(p, fa)
+    val_f, u = _split(p, _horner(ints, a_n, 0), 0)
     if val_f is None or val_f >= k:
         return a_n
     if val_f < e + 1:
         raise ValueError(f"newton step needs nu(f(a_n)) > {e}, got {val_f}")
-    if _val(p, fpa) != e:
+    fpa = _horner(dints, a_n, 0)
+    if not _has_val(p, fpa, e):
         raise ValueError("derivative valuation at a_n does not match e")
-    return _step(p, a_n, fa, fpa, e, k)
+    return _step(p, a_n, u, val_f, fpa // p**e, e, k)[0]
 
 
 def lift(f: PadicPoly, a, k: int) -> HenselCertificate:
@@ -282,10 +327,11 @@ def lift(f: PadicPoly, a, k: int) -> HenselCertificate:
         ints, dints = _cleared(f)
         # the seed mod p**(2m) keeps nu(f) = m and the precision step 1 needs
         cur, floor = rational_residue(a, p ** (2 * hyp.m)), hyp.m
+        inv, known = 0, 0  # an inverse of f'(cur)/p**e modulo p**known
         for n in range(MAX_STEPS + 1):
-            fa, fpa = _horner(ints, cur, 0), _horner(dints, cur, 0)
-            val_f = _val(p, fa, floor)
-            if _val(p, fpa) != e:
+            val_f, u = _split(p, _horner(ints, cur, 0), floor)
+            fpa = _horner(dints, cur, 0)
+            if not _has_val(p, fpa, e):
                 raise InternalBoundViolation(
                     f"derivative valuation drifted from {e} at step {n}"
                 )
@@ -296,8 +342,12 @@ def lift(f: PadicPoly, a, k: int) -> HenselCertificate:
             trace.append(LiftStep(n, root, val_f))
             if val_f is None or val_f >= kw:
                 break
-            cur = _step(p, cur, fa, fpa, e, min(2 * val_f - e, kw))
+            w = min(2 * val_f - e, kw)
+            cur, inv = _step(p, cur, u, val_f, fpa // p**e, e, w, inv, known)
             root = cur % mod_k
+            # nu(cur - previous cur) >= val_f - e moves f'/p**e by at least
+            # val_f - 2e digits, so inv stays an inverse to that many
+            known = min(w - val_f + e, val_f - 2 * e)
             floor = min(2 * val_f - 2 * e, kw)  # Newton's quadratic bound
         else:
             raise InternalBoundViolation(f"no convergence within {MAX_STEPS} steps")
@@ -309,11 +359,17 @@ def lift(f: PadicPoly, a, k: int) -> HenselCertificate:
 def verify_certificate(cert: HenselCertificate) -> VerificationResult:
     """Re-check every certificate invariant from scratch.
 
-    Recomputes the hypothesis exponents exactly at the seed.  Everything
-    else it checks reads only valuations visible below ``k``, so it
-    evaluates f and f' by integer Horner modulo p**k, on coefficients
-    reduced once: f at the root and at every trace residue, f' at the
-    root.  It checks the induction bound, the quadratic growth of residual
+    Recomputes the hypothesis exponents exactly at the seed, from the
+    cleared integer coefficients of d*f and d*f' (d a p-adic unit, so the
+    valuations are those of f and f').  Everything else it checks reads
+    only valuations visible below ``k``, and a valuation claim v is
+    decided by the residue modulo p**c for c = min(v + 1, k), clamped to
+    at least 1.  So it evaluates by integer Horner, on the cleared
+    coefficients reduced to each modulus, f at trace step n modulo
+    p**c for that step's claimed nu(f(a_n)), f' at the root modulo
+    p**min(e + 1, k) and f at the root modulo p**k; a point met twice at
+    one modulus (the last step is the root) is evaluated once.  It
+    checks the induction bound, the quadratic growth of residual
     valuations, the distance law between consecutive iterates, and the
     step-count bound.  Returns a falsy result carrying the labels of all
     failed checks, at most one per check and trace step; never raises.
@@ -331,10 +387,10 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
     e = hyp.e
     mod_k = p**k
 
-    fa = f.eval_exact(cert.a)
-    if _val(p, f.derivative().eval_exact(cert.a)) != e:
+    ints, dints = _cleared(f)
+    if _val(p, _horner(dints, cert.a, 0)) != e:
         fails.append("hypothesis_e")
-    m_true = _val(p, fa)
+    m_true = _val(p, _horner(ints, cert.a, 0))
     if hyp.m != m_true:
         fails.append("hypothesis_m")
     if hyp.degenerate != (m_true is None):
@@ -342,25 +398,29 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
     if not hyp.degenerate and hyp.t != hyp.m - 2 * e:
         fails.append("hypothesis_strength")
 
-    f_k = [rational_residue(c, mod_k) for c in f.coeffs]
-    fprime_k = [i * c % mod_k for i, c in enumerate(f_k) if i]
+    @functools.cache
+    def value(coeffs: tuple[int, ...], x: int, modulus: int) -> int:
+        """coeffs' polynomial at x modulo ``modulus``, once per reduced x."""
+        return _horner([c % modulus for c in coeffs], x, 0) % modulus
 
-    # f mod p**k at the root and at each trace residue, once per point
-    f_at = {x: _horner(f_k, x % mod_k, 0) % mod_k
-            for x in (cert.root, *(step.residue for step in cert.trace))}
+    def shows(coeffs: tuple[int, ...], x: int, v: int | None) -> bool:
+        """Whether coeffs' polynomial at x, mod p**k, witnesses nu = v capped at k.
 
-    def shows(value: int, v: int | None) -> bool:
-        """Whether a residue mod p**k witnesses the valuation v, capped at k."""
+        Only the residue mod p**c decides it, for c = min(v + 1, k) clamped
+        to at least 1: v < 0 never holds, and v < k holds when the residue
+        is nonzero with nu = v.  So x is evaluated at that modulus alone.
+        """
         want = _visible(v, k)
-        return _visible(_val(p, value, want), k) == want
+        modulus = p ** min(max(want + 1, 1), k)
+        return _visible(_val(p, value(coeffs, x % modulus, modulus), want), k) == want
 
     seed_res = rational_residue(cert.a, mod_k)
-    if f_at[cert.root] != 0:
+    if value(ints, cert.root % mod_k, mod_k) != 0:
         fails.append("root_residue")
     if (cert.root - seed_res) % p ** min(e + 1, k) != 0:
         fails.append("root_near_seed")
 
-    if not shows(_horner(fprime_k, cert.root % mod_k, 0) % mod_k, e):
+    if not shows(dints, cert.root, e):
         fails.append("derivative_stability")
 
     measured = _distance(p, mod_k, cert.root, seed_res)
@@ -390,7 +450,7 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
     for step in cert.trace:
         if step.val_f is not None and step.val_f < _capped(2 * e, t, step.n, cap):
             fails.append(f"trace_ih_{step.n}")
-        if not shows(f_at[step.residue], step.val_f):
+        if not shows(ints, step.residue, step.val_f):
             fails.append(f"trace_reval_{step.n}")
 
     for s1, s2 in zip(cert.trace, cert.trace[1:]):

@@ -550,6 +550,10 @@ def test_unit_inverse(p, w):
                                 for _ in range(5)]
     for h in units:
         assert h * _unit_inverse(h, p, w) % modulus == 1
+        # refining an inverse known to j digits, off by a multiple of p**j
+        for j in {1, (w + 2) // 3, w}:
+            x = pow(h, -1, p**j) + p**j * rng.randrange(1, p * p)
+            assert h * _unit_inverse(h, p, w, x, j) % modulus == 1
 
 
 def test_verify_rejects_a_huge_trace_index():
@@ -591,24 +595,135 @@ def _seeded_lifts():
 
 
 def test_working_exponents_follow_the_measured_valuations(monkeypatch):
-    exponents = []
+    steps, inverses = [], []
 
-    def recording(h, p, w):
-        exponents.append(w)
-        return inverse(h, p, w)
+    def recording_step(p, a, u, v, h, e, w, *carry):
+        steps.append((v, w))
+        return step(p, a, u, v, h, e, w, *carry)
 
-    inverse = hensel._unit_inverse
-    monkeypatch.setattr(hensel, "_unit_inverse", recording)
+    def recording_inverse(h, p, w, x=0, known=0):
+        inverses.append((w, known))
+        return inverse(h, p, w, x, known)
+
+    step, inverse = hensel._step, hensel._unit_inverse
+    monkeypatch.setattr(hensel, "_step", recording_step)
+    monkeypatch.setattr(hensel, "_unit_inverse", recording_inverse)
     lifts = 0
     for f, a, k in _seeded_lifts():
-        exponents.clear()
+        steps.clear()
+        inverses.clear()
         cert = lift(f, a, k)
         e = cert.hypothesis.e
         assert cert.checks_passed and not cert.degenerate
+        exponents = [w for _, w in steps]
         assert exponents == sorted(exponents)
         assert exponents == [min(2 * s.val_f - e, k + e) for s in cert.trace[:-1]]
+        # each step refines the inverse only as far as its update reads it,
+        # starting after step 0 from the one the step before carried over
+        assert [w for w, _ in inverses] == [w - v + e for v, w in steps]
+        assert all(known >= 1 for _, known in inverses[1:])
         if exponents:
             # only an update that lands on an exact root stops short of k + e
             assert exponents[-1] == k + e or cert.trace[-1].val_f is None
             lifts += 1
     assert lifts > 30
+
+
+def test_each_update_is_the_full_precision_newton_step(monkeypatch):
+    updates = []
+
+    def recording(p, a, u, v, h, e, w, *carry):
+        a_next, inv = step(p, a, u, v, h, e, w, *carry)
+        updates.append((a, w, a_next))
+        return a_next, inv
+
+    step = hensel._step
+    monkeypatch.setattr(hensel, "_step", recording)
+    checked = 0
+    for f, a, k in _seeded_lifts():
+        updates.clear()
+        p, e = f.p, lift(f, a, k).hypothesis.e
+        fprime = f.derivative()
+        for x, w, a_next in updates:
+            modulus = p**w
+            g = rational_residue(f.eval_exact(x) / p**e, modulus)
+            h = rational_residue(fprime.eval_exact(x) / p**e, modulus)
+            assert a_next == (x - g * pow(h, -1, modulus)) % modulus
+            checked += 1
+    assert checked > 100
+
+
+def _full_precision_evaluations(cert):
+    """The labels of verify's checks that evaluate f or f', at full precision.
+
+    The reference reduces f and f' mod p**k and evaluates every point mod
+    p**k, and the seed exactly, sharing no evaluation code with verify.
+    """
+    p, k, hyp = cert.p, cert.k, cert.hypothesis
+    mod_k, fprime = p**k, cert.f.derivative()
+
+    def nu(x):
+        return None if x == 0 else padic_val_rat(p, x)
+
+    def at(g, x):
+        return sum(rational_residue(c, mod_k) * pow(x, i, mod_k)
+                   for i, c in enumerate(g.coeffs)) % mod_k
+
+    def shows(value, v):
+        return (k if value == 0 else min(nu(value), k)) == (k if v is None else min(v, k))
+
+    m = nu(cert.f.eval_exact(cert.a))
+    fails = [label for label, failed in (
+        ("hypothesis_e", nu(fprime.eval_exact(cert.a)) != hyp.e),
+        ("hypothesis_m", m != hyp.m),
+        ("degenerate_flag", (m is None) != hyp.degenerate),
+        ("root_residue", at(cert.f, cert.root) != 0),
+        ("derivative_stability", not shows(at(fprime, cert.root), hyp.e)),
+    ) if failed]
+    if not hyp.degenerate and cert.trace:  # else verify stops before the trace
+        fails += [f"trace_reval_{s.n}" for s in cert.trace
+                  if not shows(at(cert.f, s.residue), s.val_f)]
+    return fails
+
+
+EVALUATED = ("hypothesis_e", "hypothesis_m", "degenerate_flag", "root_residue",
+             "derivative_stability", "trace_reval_")
+
+
+def _verify_mutations(record):
+    """The record, then copies with one field changed (all well formed)."""
+    p, k, m, t = record["p"], record["K"], record["m"], record["t"]
+    yield record
+    for root in (record["root"] + 1, record["root"] + p ** (k - 1)):
+        yield {**record, "root": root % p**k}
+    yield {**record, "K": k + 1}
+    yield {**record, "K": k + 3}
+    if m is not None:
+        yield {**record, "m": m + 1}
+        yield {**record, "m": m - 1}
+        yield {**record, "t": t + 1}
+        if t > 1:
+            yield {**record, "t": t - 1}
+    for i, (_, residue, val_f) in enumerate(record["trace"]):
+        near = () if val_f is None else (val_f + 1, val_f - 1)
+        for v in (*near, -1, None, k + 10**6):
+            yield _with_step(record, i, 2, v)
+        for r in (residue + 1, residue + p ** (k // 2), residue + p ** (k - 1),
+                  -residue - 1, residue - p**k, residue + p**k):
+            yield _with_step(record, i, 1, r)
+
+
+def test_verify_reads_residues_as_the_full_precision_reference():
+    records = list(GOLDEN.values())
+    records += [certificate_to_record(lift(f, a, k)) for f, a, k in _seeded_lifts()]
+    verdicts = collections.Counter()
+    for record in records:
+        for mutated in _verify_mutations(record):
+            cert = certificate_from_record(mutated)
+            result = verify_certificate(cert)
+            assert result.ok == (not result.failures)
+            evaluated = [label for label in result.failures if label.startswith(EVALUATED)]
+            assert evaluated == _full_precision_evaluations(cert), mutated
+            verdicts[result.ok, bool(evaluated)] += 1
+    # valid records, evaluated checks failing, and only other checks failing
+    assert min(verdicts.values()) > 50 and len(verdicts) == 3
