@@ -140,7 +140,11 @@ def check_hypothesis(f: PadicPoly, a) -> Hypothesis:
 
     Raises :class:`DerivativeVanishes` when f'(a) = 0 (the hypothesis
     |f(a)| < |f'(a)|**2 is then unsatisfiable) and
-    :class:`HypothesisFailed` when nu(f(a)) <= 2*nu(f'(a)).
+    :class:`HypothesisFailed` when nu(f(a)) <= 2*nu(f'(a)).  e and m are
+    read by Horner on the :func:`_cleared` integer coefficients at the
+    Fraction seed, as :func:`verify_certificate` reads them; the lcm of
+    f's denominators is a p-adic unit, so they are the valuations of f
+    and f'.
     """
     p = f.p
     a = Fraction(a)
@@ -148,14 +152,13 @@ def check_hypothesis(f: PadicPoly, a) -> Hypothesis:
         raise ValueError("polynomial must be nonconstant")
     if padic_val_rat(p, a) < 0:
         raise NotAnInteger(f"seed {a} is not a {p}-adic integer")
-    fpa = f.derivative().eval_exact(a)
-    if fpa == 0:
+    ints, dints = _cleared(f)
+    e = _val(p, _horner(dints, a, 0))
+    if e is None:
         raise DerivativeVanishes(f"f'({a}) = 0, no lifting neighborhood")
-    e = padic_val_rat(p, fpa)
-    fa = f.eval_exact(a)
-    if fa == 0:
+    m = _val(p, _horner(ints, a, 0))
+    if m is None:
         return Hypothesis(e=e, m=None, t=None)
-    m = padic_val_rat(p, fa)
     if m <= 2 * e:
         raise HypothesisFailed(m, e)
     return Hypothesis(e=e, m=m, t=m - 2 * e)

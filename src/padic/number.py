@@ -16,6 +16,13 @@ suite asserts: multiplication keeps the minimum *relative* precision of
 its operands, addition keeps the minimum *absolute* precision
 (valuation + relative precision).  All values are immutable and all
 operations pure.
+
+Every value goes through the one ``__init__``, which checks its fields
+(``p`` prime, a unit residue in range and coprime to p, zeros without
+unit data) and then stores them in one step rather than through the
+frozen dataclass's per-field ``object.__setattr__`` calls.  Public
+constructors, :meth:`~PadicNumber.from_record` and every operator result
+pass the same checks.
 """
 
 from __future__ import annotations
@@ -73,7 +80,7 @@ def rational_residue(q, modulus: int) -> int:
     return q.numerator * pow(q.denominator, -1, modulus) % modulus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PadicNumber:
     """An element of Q_p known to finite precision.
 
@@ -90,19 +97,20 @@ class PadicNumber:
     unit: int = 0
     prec: int = 0
 
-    def __post_init__(self):
-        check_prime(self.p)
-        if self.form is Form.UNIT:
-            if self.prec < 1:
+    def __init__(self, p: int, form: Form, v: int = 0, unit: int = 0, prec: int = 0):
+        check_prime(p)
+        if form is Form.UNIT:
+            if prec < 1:
                 raise ValueError("relative precision must be at least 1")
-            if not 0 < self.unit < self.p ** self.prec:
+            if not 0 < unit < p**prec:
                 raise ValueError("unit residue out of range")
-            if self.unit % self.p == 0:
+            if unit % p == 0:
                 raise ValueError("unit residue must be coprime to p")
-        elif self.unit != 0 or self.prec != 0:
+        elif unit != 0 or prec != 0:
             raise ValueError("zero forms carry no unit data")
-        elif self.form is Form.EXACT_ZERO and self.v != 0:
+        elif form is Form.EXACT_ZERO and v != 0:
             raise ValueError("an exact zero has v = 0")
+        self.__dict__.update(p=p, form=form, v=v, unit=unit, prec=prec)
 
     # ----- constructors -------------------------------------------------
 
@@ -124,15 +132,22 @@ class PadicNumber:
         p = check_prime(p)
         if prec < 1:
             raise ValueError("relative precision must be at least 1")
-        q = Fraction(q)
-        if q == 0:
+        if isinstance(q, int):
+            num, den = int(q), 1
+        else:
+            if not isinstance(q, Fraction):  # a Fraction is in lowest terms
+                q = Fraction(q)
+            num, den = q.numerator, q.denominator
+        if num == 0:
             return cls.exact_zero(p)
-        vn = padic_val_int(p, q.numerator)
-        vd = padic_val_int(p, q.denominator)
-        num = q.numerator // p**vn
-        den = q.denominator // p**vd
-        unit = num * pow(den, -1, p**prec) % p**prec
-        return cls(p, Form.UNIT, vn - vd, unit, prec)
+        vn = padic_val_int(p, num)
+        vd = padic_val_int(p, den)
+        modulus = p**prec
+        if vn:
+            num //= p**vn
+        if den != 1:
+            num *= pow(den // p**vd, -1, modulus)
+        return cls(p, Form.UNIT, vn - vd, num % modulus, prec)
 
     # ----- structure ----------------------------------------------------
 
@@ -199,7 +214,6 @@ class PadicNumber:
     def _embed_for_add(self, q) -> "PadicNumber":
         # An exact rational operand must never lower the result's absolute
         # precision, so it is embedded at (at least) this value's abs_prec.
-        q = Fraction(q)
         if q == 0:
             return PadicNumber.exact_zero(self.p)
         if self.form is Form.EXACT_ZERO:
@@ -208,7 +222,6 @@ class PadicNumber:
         return PadicNumber.from_rational(self.p, q, n)
 
     def _embed_for_mul(self, q) -> "PadicNumber":
-        q = Fraction(q)
         if q == 0:
             return PadicNumber.exact_zero(self.p)
         return PadicNumber.from_rational(self.p, q, self.prec or DEFAULT_PRECISION)
@@ -360,7 +373,7 @@ class DigitExpansion:
         check_prime(self.p)
         if not self.digits:
             raise ValueError("expansion must contain at least one digit")
-        if any(not 0 <= d < self.p for d in self.digits):
+        if min(self.digits) < 0 or max(self.digits) >= self.p:
             raise ValueError("digits out of range")
         if self.digits[0] == 0:
             raise ValueError("lowest digit must be nonzero")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_value, nonzero_rationals, primes
+from conftest import assert_same_value, nonzero_rationals, primes, rationals
 from padic import (
     DivisionByZero,
     ExtVal,
@@ -12,9 +12,12 @@ from padic import (
     IndeterminateValuation,
     InsufficientPrecision,
     NotAnInteger,
+    NotPrime,
     PadicNumber,
+    PadicPoly,
     ZeroHasNoExpansion,
     padic_norm_rat,
+    padic_val_int,
     padic_val_rat,
     rational_residue,
 )
@@ -240,12 +243,17 @@ def test_str_forms():
 
 
 def test_unit_form_validation():
-    with pytest.raises(ValueError):
-        PadicNumber(5, Form.UNIT, 0, 10, 2)  # 10 = 2*5 not a unit
-    with pytest.raises(ValueError):
-        PadicNumber(5, Form.UNIT, 0, 26, 2)  # out of range mod 25
-    with pytest.raises(ValueError):
-        PadicNumber(5, Form.UNIT, 0, 3, 0)  # no precision
+    for unit, prec in (
+        (10, 2),  # 10 = 2*5 not a unit
+        (26, 2),  # out of range mod 25
+        (25, 2),
+        (0, 2),
+        (-3, 2),
+        (3, 0),  # no precision
+        (3, -1),
+    ):
+        with pytest.raises(ValueError):
+            PadicNumber(5, Form.UNIT, 0, unit, prec)
 
 
 def test_exact_zero_validation():
@@ -254,8 +262,95 @@ def test_exact_zero_validation():
             PadicNumber(5, Form.EXACT_ZERO, v)
         with pytest.raises(ValueError):
             PadicNumber.from_record({"p": 5, "form": "zero", "v": v, "unit": "0", "N": 0})
+    for form in (Form.EXACT_ZERO, Form.ZERO_AT_LEAST):
+        for unit, prec in ((1, 0), (0, 3)):  # zero forms carry no unit data
+            with pytest.raises(ValueError):
+                PadicNumber(5, form, 0, unit, prec)
     zero = {"p": 5, "form": "zero", "v": 0, "unit": "0", "N": 0}
     assert PadicNumber.from_record(zero) == PadicNumber.exact_zero(5)
+
+
+def _assert_public(r):
+    """r is a value the public constructor accepts and compares equal to."""
+    assert type(r) is PadicNumber
+    assert PadicNumber(r.p, r.form, r.v, r.unit, r.prec) == r
+
+
+# values of every form: units of any valuation, both zeros
+_values = st.one_of(
+    st.tuples(nonzero_rationals(), st.integers(1, 12)).map(lambda t: ("unit", *t)),
+    st.integers(-4, 8).map(lambda floor: ("zal", floor, 0)),
+    st.just(("zero", 0, 0)),
+)
+
+
+def _value(p, spec):
+    kind, q, n = spec
+    if kind == "unit":
+        return PadicNumber.from_rational(p, q, n)
+    if kind == "zal":
+        return PadicNumber.zero_at_least(p, q)
+    return PadicNumber.exact_zero(p)
+
+
+@settings(max_examples=300)
+@given(primes, _values, _values, st.integers(-3, 4),
+       st.one_of(st.integers(-99, 99), st.booleans(), nonzero_rationals()))
+def test_every_operator_result_is_a_public_value(p, xs, ys, k, q):
+    """Operator results are values PadicNumber(...) accepts unchanged."""
+    x, y = _value(p, xs), _value(p, ys)
+    results = [x + y, x - y, x * y, -x, x + q, q + x, x - q, q - x, x * q, q * x]
+    for a, b in ((x, y), (y, x)):
+        if b.form is Form.UNIT:
+            results += [a / b, b.inverse(), q / b]
+    if q:
+        results.append(x / q)
+    if k >= 0 or x.form is Form.UNIT:
+        results.append(x**k)
+    for r in results:
+        _assert_public(r)
+
+
+@given(primes, st.one_of(st.integers(-10**6, 10**6), st.booleans(), rationals(),
+                         rationals().map(str)), st.integers(1, 40))
+def test_from_rational_results_are_public_values(p, q, n):
+    _assert_public(PadicNumber.from_rational(p, q, n))
+
+
+@given(primes, st.lists(rationals(), max_size=6), rationals(), st.integers(1, 16))
+def test_eval_results_are_public_values(p, coeffs, x, n):
+    coeffs = [c for c in coeffs if c.denominator % p]
+    if x.denominator % p == 0:
+        x = Fraction(x.numerator)
+    _assert_public(PadicPoly(p, tuple(coeffs)).eval(PadicNumber.from_rational(p, x, n)))
+
+
+def test_from_rational_int_matches_fraction():
+    for p in (2, 3, 5, 101):
+        specials = [0, 1, -1, True, False, p, -p, p**3, -(p**7) * 11, 3 * p**20]
+        for n in list(range(-60, 61)) + specials:
+            for prec in (1, 2, 8, 33):
+                got = PadicNumber.from_rational(p, n, prec)
+                assert got == PadicNumber.from_rational(p, Fraction(n), prec)
+                _assert_public(got)
+
+
+def test_composite_p_is_refused_everywhere():
+    for p in (1, 4, 9, 15, 561):
+        with pytest.raises(NotPrime):
+            PadicNumber.from_rational(p, 3, 4)
+        with pytest.raises(NotPrime):
+            PadicNumber.from_rational(p, Fraction(3, 7), 4)
+        with pytest.raises(NotPrime):
+            PadicNumber.from_rational(p, 0, 4)
+        with pytest.raises(NotPrime):
+            PadicNumber.exact_zero(p)
+        with pytest.raises(NotPrime):
+            PadicNumber.zero_at_least(p, 2)
+        with pytest.raises(NotPrime):
+            PadicNumber(p, Form.UNIT, 0, 1, 2)
+        with pytest.raises(NotPrime):
+            padic_val_int(p, 12)
 
 
 def _z(floor):
