@@ -157,8 +157,10 @@ def _cmd_norm(p: int, args) -> int:
                     "norm": "0", "norm_decimal": 0.0}, "0")
         return EXIT_OK
     v = padic_val_rat(p, q)
+    # a norm past float range has no decimal: too large a one overflows,
+    # and too small a one reads 0.0, which only the zero norm may print
     try:
-        decimal = float(norm)
+        decimal = float(norm) or None
     except OverflowError:
         decimal = None
     text = f"{p}^{-v} = {norm}"

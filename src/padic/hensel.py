@@ -164,17 +164,11 @@ def check_hypothesis(f: PadicPoly, a) -> Hypothesis:
     return Hypothesis(e=e, m=m, t=m - 2 * e)
 
 
-def _val(p: int, x: int | Fraction, floor: int = 0) -> int | None:
-    """nu(x), or None when x = 0 (valuation +infinity).
-
-    A ``floor`` of 1 or more needs an integer x and goes through
-    :func:`_split`; any floor gives the exact valuation.
-    """
+def _val(p: int, x: int | Fraction) -> int | None:
+    """nu(x), or None when x = 0 (valuation +infinity)."""
     if x == 0:
         return None
-    if floor < 1:
-        return padic_val_rat(p, x)
-    return _split(p, x, floor)[0]
+    return padic_val_rat(p, x)
 
 
 def _split(p: int, x: int, floor: int) -> tuple[int | None, int]:
@@ -246,6 +240,11 @@ def _unit_inverse(h: int, p: int, w: int, x: int = 0, known: int = 0) -> int:
         modulus = p**w
         x = x * (2 - h % modulus * x) % modulus
     return x
+
+
+def _value_mod(coeffs: tuple[int, ...], x: int, modulus: int) -> int:
+    """The polynomial with integer ``coeffs`` at x, modulo ``modulus``."""
+    return _horner([c % modulus for c in coeffs], x, 0) % modulus
 
 
 def _cleared(f: PadicPoly) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -381,6 +380,22 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
     with the single label ``malformed``: a field of the wrong type, f
     over a prime other than p, ``k < 1``, ``e < 0``, a not p-integral,
     or ``t < 1`` (or missing) while m is finite.
+
+    Each label names the part of the strong Hensel lemma that the record
+    fails to support.  From ``|f(a)| < |f'(a)|**2`` the lemma concludes
+    that a root z exists, that ``|z - a| < |f'(a)|``, that
+    ``|f'(z)| = |f'(a)|``, that ``|z - a| = |f(a)|/|f'(a)|``, and that z is
+    the only root with ``|z - a| < |f'(a)|``:
+
+    - ``root_residue``: a root exists.  It checks f(root) = 0 modulo
+      p**k, which pins a true root only modulo p**(k - e) when e > 0.
+    - ``root_near_seed``: ``|z - a| < |f'(a)|``.
+    - ``derivative_stability``: ``|f'(z)| = |f'(a)|``.
+    - ``distance_law``: ``|z - a| = |f(a)|/|f'(a)|``; ``degenerate_root``
+      is its form for an exact root seed, z = a.
+    - ``hypothesis_e``, ``hypothesis_m``, ``hypothesis_strength`` and
+      ``degenerate_flag``: the hypothesis, on which uniqueness rests.
+    - ``trace_*``: the Newton convergence argument.
     """
     if not _well_formed(cert):
         return VerificationResult(False, ("malformed",))
@@ -401,10 +416,7 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
     if not hyp.degenerate and hyp.t != hyp.m - 2 * e:
         fails.append("hypothesis_strength")
 
-    @functools.cache
-    def value(coeffs: tuple[int, ...], x: int, modulus: int) -> int:
-        """coeffs' polynomial at x modulo ``modulus``, once per reduced x."""
-        return _horner([c % modulus for c in coeffs], x, 0) % modulus
+    value = functools.cache(_value_mod)  # once per reduced x and modulus
 
     def shows(coeffs: tuple[int, ...], x: int, v: int | None) -> bool:
         """Whether coeffs' polynomial at x, mod p**k, witnesses nu = v capped at k.
@@ -415,7 +427,8 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
         """
         want = _visible(v, k)
         modulus = p ** min(max(want + 1, 1), k)
-        return _visible(_val(p, value(coeffs, x % modulus, modulus), want), k) == want
+        r = value(coeffs, x % modulus, modulus)
+        return _visible(_split(p, r, max(want, 0))[0], k) == want
 
     seed_res = rational_residue(cert.a, mod_k)
     if value(ints, cert.root % mod_k, mod_k) != 0:
@@ -505,7 +518,8 @@ def _well_formed(cert: HenselCertificate) -> bool:
 def unique_in_neighborhood(f: PadicPoly, cert: HenselCertificate, z2: int) -> bool:
     """Whether a root residue inside the uniqueness ball matches the root.
 
-    ``z2`` must satisfy f(z2) = 0 (mod p**k).  Returns True when
+    ``z2`` must satisfy f(z2) = 0 (mod p**k), which is checked by the
+    integer Horner that :func:`verify_certificate` uses.  Returns True when
     nu(z2 - a) > e implies z2 = root (mod p**k), and True vacuously for
     residues outside the ball.  Intended as a test predicate against
     exhaustive root lists; for e > 0 a root modulo p**k need not come
@@ -514,7 +528,9 @@ def unique_in_neighborhood(f: PadicPoly, cert: HenselCertificate, z2: int) -> bo
     p, k = cert.p, cert.k
     mod_k = p**k
     z2 = z2 % mod_k
-    if rational_residue(f.eval_exact(z2), mod_k) != 0:
+    # f's own residues rather than _cleared(f): f may be over another
+    # prime, whose cleared denominators need not be units mod p
+    if _value_mod([rational_residue(c, mod_k) for c in f.coeffs], z2, mod_k) != 0:
         raise ValueError(f"{z2} is not a root of f modulo {p}^{k}")
     d = _distance(p, mod_k, z2, rational_residue(cert.a, mod_k))
     if d is None or d > cert.uniqueness_radius_exponent:

@@ -39,7 +39,7 @@ from .errors import (
     NotAnInteger,
     ZeroHasNoExpansion,
 )
-from .valuation import ExtVal, check_prime, padic_val_int, padic_val_rat
+from .valuation import ExtVal, check_prime, padic_val_int
 
 DEFAULT_PRECISION = 32
 
@@ -132,12 +132,10 @@ class PadicNumber:
         p = check_prime(p)
         if prec < 1:
             raise ValueError("relative precision must be at least 1")
-        if isinstance(q, int):
-            num, den = int(q), 1
-        else:
-            if not isinstance(q, Fraction):  # a Fraction is in lowest terms
-                q = Fraction(q)
-            num, den = q.numerator, q.denominator
+        # an int, bool included, is q/1 and a Fraction is in lowest terms
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        num, den = q.numerator, q.denominator
         if num == 0:
             return cls.exact_zero(p)
         vn = padic_val_int(p, num)
@@ -213,17 +211,16 @@ class PadicNumber:
 
     def _embed_for_add(self, q) -> "PadicNumber":
         # An exact rational operand must never lower the result's absolute
-        # precision, so it is embedded at (at least) this value's abs_prec.
-        if q == 0:
-            return PadicNumber.exact_zero(self.p)
+        # precision.  nu(q) >= -nu(den) > -den.bit_length(), so at this many
+        # digits q is known at least to this value's abs_prec, and any
+        # larger precision gives the same sum.  A zero q embeds as the
+        # exact zero.
         if self.form is Form.EXACT_ZERO:
             return PadicNumber.from_rational(self.p, q, DEFAULT_PRECISION)
-        n = max(1, self.abs_prec - padic_val_rat(self.p, q))
+        n = max(1, self.abs_prec + q.denominator.bit_length())
         return PadicNumber.from_rational(self.p, q, n)
 
     def _embed_for_mul(self, q) -> "PadicNumber":
-        if q == 0:
-            return PadicNumber.exact_zero(self.p)
         return PadicNumber.from_rational(self.p, q, self.prec or DEFAULT_PRECISION)
 
     def _add(self, other: "PadicNumber") -> "PadicNumber":

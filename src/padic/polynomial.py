@@ -3,9 +3,10 @@
 Coefficients are exact :class:`fractions.Fraction` values whose
 denominators are coprime to ``p``, so every coefficient is a p-adic
 integer.  Keeping coefficients exact means valuations of evaluated values
-can be computed exactly (:meth:`PadicPoly.eval_exact`), which the lifting
-machinery depends on; capped-precision evaluation embeds the coefficients
-only at the moment of use.
+can be computed exactly (:meth:`PadicPoly.eval_exact`); capped-precision
+evaluation embeds the coefficients only at the moment of use.  The
+lifting machinery in :mod:`padic.hensel` needs neither: it evaluates the
+integer numerators left once the denominators are cleared.
 """
 
 from __future__ import annotations
@@ -184,6 +185,10 @@ def _powers(x: PadicNumber, top: int, p: int, wp: int) -> list[PadicNumber]:
     return out
 
 
+# parse_poly builds one dense coefficient per degree up to the largest
+# exponent, so bounding the exponent bounds its time and memory
+MAX_DEGREE = 10_000
+
 _TERM_RE = re.compile(r"(?:(\d+(?:/\d+)?)\*?)?(x(?:\^(\d+))?)?")
 
 
@@ -192,6 +197,7 @@ def parse_poly(text: str, p) -> PadicPoly:
 
     Coefficients may be integers or ``a/b`` rationals; whitespace is
     ignored; ``+`` and ``-`` separate terms.  Example: ``x^2 - 6``.
+    Exponents above :data:`MAX_DEGREE` raise :class:`ValueError`.
     """
     p = check_prime(p)
     s = re.sub(r"\s+", "", text).lower()
@@ -215,6 +221,8 @@ def parse_poly(text: str, p) -> PadicPoly:
             power = 0
         else:
             power = int(match.group(3)) if match.group(3) else 1
+        if power > MAX_DEGREE:
+            raise ValueError(f"exponent {power} in {token!r} exceeds {MAX_DEGREE}")
         powers[power] = powers.get(power, Fraction(0)) + sign * coeff
     top = max(powers)
     return PadicPoly(p, tuple(powers.get(i, Fraction(0)) for i in range(top + 1)))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
@@ -85,75 +84,52 @@ class Prime:
         return str(self.p)
 
 
-class ExtKind(Enum):
-    FINITE = "finite"
-    EXACT_ZERO = "exact_zero"          # valuation +infinity
-    ZERO_AT_LEAST = "zero_at_least"    # valuation >= value, not pinned down
-
-
 @dataclass(frozen=True)
 class ExtVal:
-    """Extended valuation: a finite exponent, +infinity, or a lower bound.
+    """Extended valuation: the closed interval of valuations a value may have.
 
-    ``Finite(v)`` corresponds to norm ``p**(-v)``, ``ExactZero`` to norm 0,
-    and ``ZeroAtLeast(A)`` to a norm known only to be at most ``p**(-A)``.
-    Order comparisons follow the true valuation: each value stands for the
-    interval of valuations it may have (``[v, v]``, ``[inf, inf]`` and
-    ``[A, inf]``), and a comparison answers only when every pair drawn
+    ``finite(v)`` is ``[v, v]``, with norm ``p**(-v)``; ``exact_zero()`` is
+    ``[inf, inf]``, with norm 0; and ``zero_at_least(A)`` is ``[A, inf]``,
+    a norm known only to be at most ``p**(-A)``.  Order comparisons follow
+    the true valuation: a comparison answers only when every pair drawn
     from the two intervals agrees; otherwise
     :class:`IndeterminateValuation` is raised rather than guessing.
     """
 
-    kind: ExtKind
-    value: int | None = None
+    low: int | float
+    high: int | float
 
     @classmethod
     def finite(cls, v: int) -> "ExtVal":
-        return cls(ExtKind.FINITE, int(v))
+        v = int(v)
+        return cls(v, v)
 
     @classmethod
     def exact_zero(cls) -> "ExtVal":
-        return cls(ExtKind.EXACT_ZERO)
+        return cls(math.inf, math.inf)
 
     @classmethod
     def zero_at_least(cls, floor: int) -> "ExtVal":
-        return cls(ExtKind.ZERO_AT_LEAST, int(floor))
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind is ExtKind.FINITE
-
-    @property
-    def is_exact_zero(self) -> bool:
-        return self.kind is ExtKind.EXACT_ZERO
-
-    @property
-    def is_zero_at_least(self) -> bool:
-        return self.kind is ExtKind.ZERO_AT_LEAST
+        return cls(int(floor), math.inf)
 
     def norm_fraction(self, p) -> Fraction:
         """The norm ``p**(-v)`` encoded by this value, as an exact rational."""
         p = check_prime(p)
-        if self.is_exact_zero:
+        if self.low == math.inf:
             return Fraction(0)
-        if self.is_finite:
-            return Fraction(p) ** (-self.value)
+        if self.low == self.high:
+            return Fraction(p) ** (-self.low)
         raise IndeterminateValuation(
-            f"norm is only bounded above by {p}^{-self.value}"
+            f"norm is only bounded above by {p}^{-self.low}"
         )
-
-    def _interval(self) -> tuple[float, float]:
-        """The valuations this value may have, as a closed interval."""
-        low = math.inf if self.is_exact_zero else self.value
-        high = self.value if self.is_finite else math.inf
-        return low, high
 
     def _decide(self, other: "ExtVal", op) -> bool:
         # an order relation holds for every pair drawn from two intervals
         # when it holds at every pair of endpoints, and for none likewise
         if not isinstance(other, ExtVal):
             return NotImplemented
-        answers = {op(x, y) for x in self._interval() for y in other._interval()}
+        answers = {op(x, y) for x in (self.low, self.high)
+                   for y in (other.low, other.high)}
         if len(answers) > 1:
             raise IndeterminateValuation(
                 f"{op.__name__} is not decided between {self} and {other}"
@@ -231,15 +207,11 @@ def padic_norm_rat(p, q) -> Fraction:
     >>> padic_norm_rat(2, Fraction(3, 8))
     Fraction(8, 1)
     """
-    p = check_prime(p)
-    q = Fraction(q)
-    if q == 0:
-        return Fraction(0)
-    return Fraction(p) ** (-padic_val_rat(p, q))
+    return ext_val_rat(p, q).norm_fraction(p)
 
 
 def ext_val_rat(p, q) -> ExtVal:
-    """Extended-value wrapper: ExactZero at 0, Finite(nu_p(q)) otherwise."""
+    """Extended-value wrapper: ``exact_zero()`` at 0, ``finite(nu_p(q))`` otherwise."""
     p = check_prime(p)
     q = Fraction(q)
     if q == 0:

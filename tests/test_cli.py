@@ -52,6 +52,22 @@ def test_norm(capsys):
     assert code == 0 and out.strip() == "2^3 = 8"
 
 
+def test_norm_decimal(capsys):
+    code, out, _ = run_cli(capsys, "norm", "-p", "2", "8")
+    assert code == 0 and out.strip() == "2^-3 = 1/8 = 0.125"
+
+
+def test_norm_past_float_range(capsys):
+    # 2^1100 overflows a float, and 2^-1100 underflows it to 0.0: neither
+    # prints a decimal, and only the zero norm reads as 0
+    for q, text in ((f"1/{2**1100}", f"2^1100 = {2**1100}"),
+                    (str(2**1100), f"2^-1100 = 1/{2**1100}")):
+        code, out, _ = run_cli(capsys, "norm", "-p", "2", q)
+        assert code == 0 and out.strip() == text
+        code, out, _ = run_cli(capsys, "norm", "-p", "2", "--json", q)
+        assert code == 0 and json.loads(out)["norm_decimal"] is None
+
+
 def test_norm_json(capsys):
     code, out, _ = run_cli(capsys, "norm", "-p", "2", "--json", "3/8")
     payload = json.loads(out)
@@ -93,6 +109,11 @@ def test_eval(capsys):
     )
     assert code == 0
     assert "v: 1" in out and "form: unit" in out
+
+
+def test_eval_refuses_a_degree_past_the_limit(capsys):
+    code, out, err = run_cli(capsys, "eval", "-p", "5", "--poly", "x^10001", "1")
+    assert code == 2 and out == "" and "exceeds 10000" in err
 
 
 def test_lift_text(capsys):

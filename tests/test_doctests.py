@@ -1,6 +1,7 @@
 import doctest
 import importlib
 import pkgutil
+from pathlib import Path
 
 import padic
 
@@ -16,3 +17,11 @@ def test_library_doctests():
         assert result.failed == 0, name
         attempted += result.attempted
     assert attempted >= 5
+
+
+def test_readme_examples():
+    """The README quickstart runs and prints what the README says it prints."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.failed == 0
+    assert result.attempted >= 10

@@ -196,6 +196,16 @@ def test_unique_in_neighborhood():
         unique_in_neighborhood(f, cert, 7)  # not a root mod 625
 
 
+def test_unique_in_neighborhood_reads_f_at_the_certificate_prime():
+    cert = lift(parse_poly("x^2 - 6", 5), 1, 3)
+    # the same roots over 2, with a denominator that is a unit mod 5
+    assert unique_in_neighborhood(PadicPoly(2, (F(-6, 3), 0, F(1, 3))), cert, cert.root)
+    # (x^2 - 6)/5 is no 5-adic integer polynomial, and clearing its
+    # denominator would make cert.root pass as its root mod 5^3
+    with pytest.raises(ValueError):
+        unique_in_neighborhood(PadicPoly(2, (F(-6, 5), 0, F(1, 5))), cert, cert.root)
+
+
 def test_certificate_record_round_trip():
     for cert in (
         lift(parse_poly("x^2 - 6", 5), 1, 4),

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_same_value, nonzero_rationals, primes, rationals
 from padic import (
+    DEFAULT_PRECISION,
     DivisionByZero,
     ExtVal,
     Form,
@@ -217,6 +218,50 @@ def test_coercion_matches_explicit_embedding():
     # an exact operand must not cost precision
     assert (x + 1).abs_prec == x.abs_prec
     assert (x * 3).prec == x.prec
+
+
+def _tightest_embedding(x: PadicNumber, q) -> PadicNumber:
+    """q at the fewest digits that keep x + q known to x's absolute precision."""
+    if x.form is Form.EXACT_ZERO:
+        return PadicNumber.from_rational(x.p, q, DEFAULT_PRECISION)
+    return PadicNumber.from_rational(x.p, q, max(1, x.abs_prec - padic_val_rat(x.p, q)))
+
+
+@st.composite
+def padic_operands(draw, p):
+    """A unit, an exact zero, or a zero known mod p**A, negative A included."""
+    form = draw(st.sampled_from(Form))
+    if form is Form.EXACT_ZERO:
+        return PadicNumber.exact_zero(p)
+    if form is Form.ZERO_AT_LEAST:
+        return PadicNumber.zero_at_least(p, draw(st.integers(-12, 40)))
+    q = draw(nonzero_rationals()) * F(p) ** draw(st.integers(-12, 40))
+    return PadicNumber.from_rational(p, q, draw(st.integers(1, 40)))
+
+
+@st.composite
+def exact_summands(draw, p):
+    """An int, a bool or a Fraction: zero, p in the denominator, large valuations."""
+    kind = draw(st.sampled_from(("int", "bool", "fraction")))
+    if kind == "bool":
+        return draw(st.booleans())
+    num, j = draw(st.integers(-999, 999)), draw(st.integers(-12, 80))
+    if kind == "int":
+        return num * p ** max(j, 0)
+    return F(num, draw(st.integers(1, 999))) * F(p) ** j
+
+
+@settings(max_examples=400)
+@given(st.sampled_from((2, 3, 5, 7, 101)).flatmap(
+    lambda p: st.tuples(padic_operands(p), exact_summands(p))))
+def test_exact_summand_adds_like_its_tightest_embedding(case):
+    # any embedding of q past x's absolute precision gives the same sum
+    x, q = case
+    y = _tightest_embedding(x, q)
+    assert (x + q).to_record() == (x + y).to_record()
+    assert (q + x).to_record() == (y + x).to_record()
+    assert (x - q).to_record() == (x - y).to_record()
+    assert (q - x).to_record() == (y - x).to_record()
 
 
 def test_pow():

@@ -15,6 +15,7 @@ from padic import (
     parse_poly,
     taylor_remainder,
 )
+from padic.polynomial import MAX_DEGREE
 
 F = Fraction
 
@@ -47,6 +48,13 @@ def test_parse():
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_poly(bad, 5)
+
+
+def test_parse_refuses_a_degree_past_the_limit():
+    # x^N builds N + 1 dense coefficients, so N is bounded
+    assert MAX_DEGREE == 10_000
+    with pytest.raises(ValueError, match="exceeds"):
+        parse_poly("x^10001", 5)
 
 
 def test_str_round_trips_through_parser():

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nonzero_rationals, primes, time_limit
+from conftest import nonzero_rationals, primes, rationals, time_limit
 from padic import (
     ExtVal,
     IndeterminateValuation,
     NotPrime,
+    PadicNumber,
     Prime,
     ext_val_rat,
     is_prime,
@@ -100,6 +101,26 @@ def test_ext_val_norm_fraction():
     assert ExtVal.exact_zero().norm_fraction(5) == 0
     with pytest.raises(IndeterminateValuation):
         ExtVal.zero_at_least(2).norm_fraction(5)
+
+
+def test_norm_of_each_form_is_its_ext_val():
+    assert PadicNumber.exact_zero(5).norm() == ExtVal.exact_zero()
+    assert PadicNumber.zero_at_least(5, -3).norm() == ExtVal.zero_at_least(-3)
+    assert PadicNumber.from_rational(5, Fraction(3, 25), 4).norm() == ExtVal.finite(-2)
+    # the three forms stand for different intervals, so none equals another
+    assert len({ExtVal.finite(4), ExtVal.zero_at_least(4), ExtVal.exact_zero()}) == 3
+
+
+@given(primes, rationals())
+def test_norm_rat_is_the_norm_of_its_ext_val(p, q):
+    assert padic_norm_rat(p, q) == ext_val_rat(p, q).norm_fraction(p)
+
+
+def test_norm_rat_at_zero():
+    assert padic_norm_rat(5, 0) == ext_val_rat(5, 0).norm_fraction(5) == 0
+    for bad in (4, 1, 561):
+        with pytest.raises(NotPrime):
+            padic_norm_rat(bad, 0)
 
 
 @given(primes, st.integers(-10**6, 10**6).filter(bool),
