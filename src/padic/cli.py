@@ -25,7 +25,7 @@ from .errors import (
 )
 from .number import DEFAULT_PRECISION, Form, PadicNumber
 from .polynomial import parse_poly
-from .valuation import check_prime, padic_norm_rat, padic_val_rat
+from .valuation import check_prime, ext_val_rat, padic_val_rat
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -151,12 +151,12 @@ def _cmd_val(p: int, args) -> int:
 
 def _cmd_norm(p: int, args) -> int:
     q = _rational(args.rational, "rational")
-    norm = padic_norm_rat(p, q)
     if q == 0:
         _emit(args, {"p": p, "q": str(q), "valuation": None,
                     "norm": "0", "norm_decimal": 0.0}, "0")
         return EXIT_OK
-    v = padic_val_rat(p, q)
+    val = ext_val_rat(p, q)
+    v, norm = val.low, val.norm_fraction(p)
     # a norm past float range has no decimal: too large a one overflows,
     # and too small a one reads 0.0, which only the zero norm may print
     try:

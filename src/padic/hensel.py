@@ -243,8 +243,25 @@ def _unit_inverse(h: int, p: int, w: int, x: int = 0, known: int = 0) -> int:
 
 
 def _value_mod(coeffs: tuple[int, ...], x: int, modulus: int) -> int:
-    """The polynomial with integer ``coeffs`` at x, modulo ``modulus``."""
-    return _horner([c % modulus for c in coeffs], x, 0) % modulus
+    """The polynomial with integer ``coeffs`` at x, modulo ``modulus``.
+
+    A coefficient already smaller than the modulus in size is used as it
+    is, since reducing a small negative one would make it full-size, and
+    the accumulator is reduced only once it outgrows twice the modulus's
+    bits, so Horner multiplies short operands and divides short ones.
+
+    >>> _value_mod((-6, 0, 1), 9, 5**4)
+    75
+    """
+    limit = 2 * modulus.bit_length()
+    acc = 0
+    for c in reversed(coeffs):
+        if not -modulus < c < modulus:
+            c %= modulus
+        acc = acc * x + c
+        if acc.bit_length() > limit:
+            acc %= modulus
+    return acc % modulus
 
 
 def _cleared(f: PadicPoly) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -23,6 +23,17 @@ unit data) and then stores them in one step rather than through the
 frozen dataclass's per-field ``object.__setattr__`` calls.  Public
 constructors, :meth:`~PadicNumber.from_record` and every operator result
 pass the same checks.
+
+Where p is validated: ``check_prime`` runs once in each public entry
+(``__init__``, :meth:`~PadicNumber.from_rational`, the zero constructors)
+and answers a prime it has already passed with one set lookup; the
+valuations inside a value's construction take the checked p and do not
+check it again.  The operators and :meth:`PadicPoly.eval
+<padic.polynomial.PadicPoly.eval>` compute on plain ``(v, unit, prec)``
+triples, with ``None`` for the exact zero, and build one checked value
+per result.  Powers of p come from a bounded table: it holds at most
+``_POWER_TABLE_PRIMES`` primes and, for each, the powers of at most
+``_POWER_TABLE_BITS`` bits; larger powers are computed per call.
 """
 
 from __future__ import annotations
@@ -39,9 +50,16 @@ from .errors import (
     NotAnInteger,
     ZeroHasNoExpansion,
 )
-from .valuation import ExtVal, check_prime, padic_val_int
+from .valuation import ExtVal, _val_int, check_prime
 
 DEFAULT_PRECISION = 32
+
+# Bounds of the table of prime powers: a row holds p**0, p**1, ... while
+# they have at most _POWER_TABLE_BITS bits, about BITS**2 / (2 log2 p) bits
+# in all (256 KiB for p = 2), for at most _POWER_TABLE_PRIMES primes.
+_POWER_TABLE_PRIMES = 64
+_POWER_TABLE_BITS = 2048
+_POWERS: dict[int, list[int]] = {}
 
 
 class Form(Enum):
@@ -50,13 +68,126 @@ class Form(Enum):
     UNIT = "unit"
 
 
-def _normal(p: int, v: int, total: int, span: int) -> "PadicNumber":
-    """``p**v * total`` known modulo ``p**(v + span)``, in normal form."""
-    total %= p**span
-    if total == 0:
-        return PadicNumber.zero_at_least(p, v + span)
-    w = padic_val_int(p, total)
-    return PadicNumber(p, Form.UNIT, v + w, total // p**w, span - w)
+def _power(p: int, n: int) -> int:
+    """``p**n`` for ``n >= 0``, read from the table of powers where it fits."""
+    try:
+        return _POWERS[p][n]
+    except (KeyError, IndexError, TypeError):
+        return _extend_powers(p, n)
+
+
+def _extend_powers(p: int, n: int) -> int:
+    row = _POWERS.get(p)
+    if row is None:
+        if type(p) is not int or len(_POWERS) >= _POWER_TABLE_PRIMES:
+            return p**n
+        row = [1]
+    if type(n) is not int or (row[-1] * p).bit_length() > _POWER_TABLE_BITS:
+        return p**n
+    # grow a copy and store it whole, so a reader in another thread never
+    # sees a row whose entries are not p**0, p**1, ...
+    row = row[:]
+    while len(row) <= n:
+        top = row[-1] * p
+        if top.bit_length() > _POWER_TABLE_BITS:
+            break
+        row.append(top)
+    _POWERS[p] = row
+    return row[n] if n < len(row) else p**n
+
+
+# ----- arithmetic on (v, unit, prec) triples, None for the exact zero -------
+
+def _parts(x: "PadicNumber"):
+    return None if x.form is Form.EXACT_ZERO else (x.v, x.unit, x.prec)
+
+
+def _number(p: int, t) -> "PadicNumber":
+    """The checked value of triple ``t``; a zero unit is an inexact zero."""
+    if t is None:
+        return PadicNumber(p, Form.EXACT_ZERO)
+    v, unit, prec = t
+    return PadicNumber(p, Form.UNIT if unit else Form.ZERO_AT_LEAST, v, unit, prec)
+
+
+def _normal(p: int, v: int, total: int, span: int):
+    """``p**v * total`` known modulo ``p**(v + span)``, as a normal-form triple."""
+    total %= _power(p, span)
+    if not total:
+        return v + span, 0, 0
+    w = _val_int(p, total)
+    if w:
+        total //= _power(p, w)
+    return v + w, total, span - w
+
+
+def _add_parts(p: int, a, b):
+    """``a + b``, known to the smaller of the two absolute precisions."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    av, au, an = a
+    bv, bu, bn = b
+    if av > bv:
+        av, au, an, bv, bu, bn = bv, bu, bn, av, au, an
+    total = au + bu * _power(p, bv - av)
+    return _normal(p, av, total, min(an, bv + bn - av))
+
+
+def _mul_parts(p: int, a, b):
+    """``a * b``, known to the smaller of the two relative precisions."""
+    if a is None or b is None:
+        return None
+    return _normal(p, a[0] + b[0], a[1] * b[1], min(a[2], b[2]))
+
+
+def _embed(p: int, q, prec: int):
+    """The triple of an int or Fraction ``q`` at relative precision ``prec``."""
+    # an int, bool included, is q/1 and a Fraction is in lowest terms
+    num, den = q.numerator, q.denominator
+    if num == 0:
+        return None
+    v = _val_int(p, num)
+    if v:
+        num //= _power(p, v)
+    modulus = _power(p, prec)
+    if den != 1:
+        vd = _val_int(p, den)
+        num *= pow(den // _power(p, vd), -1, modulus)
+        v -= vd
+    return v, num % modulus, prec
+
+
+def _digits(p: int, u: int, n: int) -> tuple[int, ...]:
+    """The ``n`` lowest base-p digits of ``u``, lowest first, zeros included.
+
+    Divide and conquer: ``u`` is split at p**(c * 2**i), i = L-1, ..., 0,
+    into 2**L word-sized chunks below p**c <= 2**60, and each chunk's c
+    digits are peeled off a small int.  The long divisions halve in size
+    at each level, so a digit costs one small divmod instead of a pass
+    over the whole unit.
+
+    >>> _digits(5, 3 + 4 * 5**2, 5)
+    (3, 0, 4, 0, 0)
+    """
+    c = max(1, 60 // p.bit_length())
+    top = 1
+    while top * c < n:
+        top *= 2
+    c = -(-n // top)  # the fewest digits per chunk that still cover n
+    chunks = [u]  # highest chunk first
+    while top > 1:
+        top //= 2
+        block = _power(p, c * top)
+        chunks = [r for x in chunks for r in divmod(x, block)]
+    out = []
+    for x in reversed(chunks):
+        for _ in range(c):
+            out.append(x % p)
+            x //= p
+    del out[n:]
+    return tuple(out)
 
 
 def _horner(coeffs, x, acc):
@@ -102,7 +233,7 @@ class PadicNumber:
         if form is Form.UNIT:
             if prec < 1:
                 raise ValueError("relative precision must be at least 1")
-            if not 0 < unit < p**prec:
+            if not 0 < unit < _power(p, prec):
                 raise ValueError("unit residue out of range")
             if unit % p == 0:
                 raise ValueError("unit residue must be coprime to p")
@@ -132,20 +263,9 @@ class PadicNumber:
         p = check_prime(p)
         if prec < 1:
             raise ValueError("relative precision must be at least 1")
-        # an int, bool included, is q/1 and a Fraction is in lowest terms
         if not isinstance(q, (int, Fraction)):
             q = Fraction(q)
-        num, den = q.numerator, q.denominator
-        if num == 0:
-            return cls.exact_zero(p)
-        vn = padic_val_int(p, num)
-        vd = padic_val_int(p, den)
-        modulus = p**prec
-        if vn:
-            num //= p**vn
-        if den != 1:
-            num *= pow(den // p**vd, -1, modulus)
-        return cls(p, Form.UNIT, vn - vd, num % modulus, prec)
+        return _number(p, _embed(p, q, prec))
 
     # ----- structure ----------------------------------------------------
 
@@ -167,15 +287,16 @@ class PadicNumber:
         return self.v >= 0
 
     def digits(self) -> "DigitExpansion":
-        """Base-p digits of the unit part, lowest digit first."""
+        """Base-p digits of the unit part, lowest digit first.
+
+        All ``prec`` digits are listed, the high zero digits too:
+
+        >>> PadicNumber.from_rational(5, 28, 4).digits()
+        DigitExpansion(p=5, start=0, digits=(3, 0, 1, 0))
+        """
         if self.form is not Form.UNIT:
             raise ZeroHasNoExpansion("zero has no canonical expansion")
-        out = []
-        u = self.unit
-        for _ in range(self.prec):
-            u, r = divmod(u, self.p)
-            out.append(r)
-        return DigitExpansion(self.p, self.v, tuple(out))
+        return DigitExpansion(self.p, self.v, _digits(self.p, self.unit, self.prec))
 
     def reduce_mod(self, k: int) -> int:
         """The unique residue r in [0, p**k) with x = r (mod p**k)."""
@@ -187,7 +308,7 @@ class PadicNumber:
             raise InsufficientPrecision(
                 f"value known only modulo {self.p}^{self.abs_prec}, need {self.p}^{k}"
             )
-        return self.unit * self.p**self.v % self.p**k
+        return self.unit * _power(self.p, self.v) % _power(self.p, k)
 
     def eq_to_precision(self, other: "PadicNumber", k: int) -> bool:
         """Whether x = y (mod p**k); both operands must carry that precision."""
@@ -225,15 +346,7 @@ class PadicNumber:
 
     def _add(self, other: "PadicNumber") -> "PadicNumber":
         self._check_same_prime(other)
-        a, b = self, other
-        if a.form is Form.EXACT_ZERO:
-            return b
-        if b.form is Form.EXACT_ZERO:
-            return a
-        floor = min(a.abs_prec, b.abs_prec)
-        base = min(a.v, b.v)
-        total = a.unit * a.p ** (a.v - base) + b.unit * a.p ** (b.v - base)
-        return _normal(a.p, base, total, floor - base)
+        return _number(self.p, _add_parts(self.p, _parts(self), _parts(other)))
 
     def __add__(self, other):
         if isinstance(other, PadicNumber):
@@ -248,7 +361,7 @@ class PadicNumber:
         if self.form is not Form.UNIT:
             return self
         return PadicNumber(
-            self.p, Form.UNIT, self.v, self.p**self.prec - self.unit, self.prec
+            self.p, Form.UNIT, self.v, _power(self.p, self.prec) - self.unit, self.prec
         )
 
     def __sub__(self, other):
@@ -263,10 +376,7 @@ class PadicNumber:
 
     def _mul(self, other: "PadicNumber") -> "PadicNumber":
         self._check_same_prime(other)
-        a, b = self, other
-        if a.form is Form.EXACT_ZERO or b.form is Form.EXACT_ZERO:
-            return PadicNumber.exact_zero(a.p)
-        return _normal(a.p, a.v + b.v, a.unit * b.unit, min(a.prec, b.prec))
+        return _number(self.p, _mul_parts(self.p, _parts(self), _parts(other)))
 
     def __mul__(self, other):
         if isinstance(other, PadicNumber):
@@ -290,7 +400,7 @@ class PadicNumber:
             self.p,
             Form.UNIT,
             -self.v,
-            pow(self.unit, -1, self.p**self.prec),
+            pow(self.unit, -1, _power(self.p, self.prec)),
             self.prec,
         )
 
@@ -320,7 +430,7 @@ class PadicNumber:
             self.p,
             self.form,
             self.v * k,
-            pow(self.unit, k, self.p**self.prec),
+            pow(self.unit, k, _power(self.p, self.prec)),
             self.prec,
         )
 

@@ -17,7 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotAnInteger
-from .number import DEFAULT_PRECISION, Form, PadicNumber, _horner
+from .number import (
+    DEFAULT_PRECISION,
+    Form,
+    PadicNumber,
+    _add_parts,
+    _embed,
+    _horner,
+    _mul_parts,
+    _number,
+    _parts,
+)
 from .valuation import check_prime
 
 
@@ -85,12 +95,16 @@ class PadicPoly:
 
         Coefficients are embedded at the relative precision of ``x``; the
         result tracks precision through the usual rules and is itself an
-        integer element.
+        integer element.  Horner's rule runs on ``(v, unit, prec)`` triples
+        through the same sum and product as the operators, and one value
+        is built at the end.
         """
         _require_integer_points(self, x)
-        wp = _working_precision(x)
-        coeffs = [PadicNumber.from_rational(self.p, c, wp) for c in self.coeffs]
-        return _horner(coeffs, x, PadicNumber.exact_zero(self.p))
+        p, wp, point = check_prime(self.p), _working_precision(x), _parts(x)
+        acc = None
+        for c in reversed(self.coeffs):
+            acc = _add_parts(p, _mul_parts(p, acc, point), _embed(p, c, wp))
+        return _number(p, acc)
 
     def __str__(self) -> str:
         if self.is_zero:

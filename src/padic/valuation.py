@@ -60,11 +60,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Exact ints that check_prime has passed, so that checking one again is a
+# single set lookup; bounded, so a stream of distinct primes cannot grow it.
+_KNOWN_PRIMES: set[int] = set()
+_KNOWN_PRIMES_MAX = 64
+
+
 def check_prime(p) -> int:
-    """Return ``p`` as an int, raising :class:`NotPrime` if it is not prime."""
+    """Return ``p`` as an int, raising :class:`NotPrime` if it is not prime.
+
+    >>> check_prime(5.0)
+    5
+    >>> check_prime(561)
+    Traceback (most recent call last):
+    ...
+    padic.errors.NotPrime: p must be prime, got 561
+    """
+    if type(p) is int and p in _KNOWN_PRIMES:
+        return p
     p = int(p)
     if not is_prime(p):
         raise NotPrime(f"p must be prime, got {p}")
+    if len(_KNOWN_PRIMES) < _KNOWN_PRIMES_MAX:
+        _KNOWN_PRIMES.add(p)
     return p
 
 
@@ -165,8 +183,11 @@ def padic_val_int(p, z: int) -> int:
     >>> padic_val_int(5, 3 * 5**1000)
     1000
     """
-    p = check_prime(p)
-    z = int(z)
+    return _val_int(check_prime(p), int(z))
+
+
+def _val_int(p: int, z: int) -> int:
+    """:func:`padic_val_int` for a prime ``p`` its caller has checked."""
     if z % p or not z:
         return 0
     # small valuations are the common case: single factors are cheaper
@@ -198,7 +219,7 @@ def padic_val_rat(p, q) -> int:
     q = Fraction(q)
     if q == 0:
         return 0
-    return padic_val_int(p, q.numerator) - padic_val_int(p, q.denominator)
+    return _val_int(p, q.numerator) - _val_int(p, q.denominator)
 
 
 def padic_norm_rat(p, q) -> Fraction:

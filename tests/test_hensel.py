@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import time_limit
 from padic import (
@@ -31,7 +33,8 @@ from padic import (
     verify_certificate,
 )
 from padic import hensel
-from padic.hensel import _unit_inverse
+from padic.hensel import _unit_inverse, _value_mod
+from padic.number import _horner
 
 F = Fraction
 
@@ -737,3 +740,27 @@ def test_verify_reads_residues_as_the_full_precision_reference():
             verdicts[result.ok, bool(evaluated)] += 1
     # valid records, evaluated checks failing, and only other checks failing
     assert min(verdicts.values()) > 50 and len(verdicts) == 3
+
+
+@st.composite
+def _coeffs_point_modulus(draw):
+    p = draw(st.sampled_from((2, 5, 101)))
+    modulus = p ** draw(st.integers(1, 60))
+    coeff = st.one_of(
+        st.just(0),
+        st.integers(-2000, 2000),
+        st.integers(-modulus + 1, modulus - 1),
+        st.integers(-(modulus**3), modulus**3),
+        st.sampled_from((modulus, -modulus, 2 * modulus, -modulus - 1)),
+    )
+    coeffs = tuple(draw(st.lists(coeff, max_size=12)))
+    x = draw(st.one_of(st.integers(0, modulus - 1), st.integers(-(modulus**2), modulus**2)))
+    return coeffs, x, modulus
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coeffs_point_modulus())
+def test_value_mod_matches_reducing_every_coefficient(case):
+    coeffs, x, modulus = case
+    want = _horner([c % modulus for c in coeffs], x, 0) % modulus
+    assert _value_mod(coeffs, x, modulus) == want

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_value, nonzero_rationals, primes, rationals
+from conftest import assert_same_value, nonzero_rationals, primes, rationals, time_limit
 from padic import (
     DEFAULT_PRECISION,
+    DigitExpansion,
     DivisionByZero,
     ExtVal,
     Form,
@@ -17,11 +18,16 @@ from padic import (
     PadicNumber,
     PadicPoly,
     ZeroHasNoExpansion,
+    ext_val_rat,
+    is_prime,
     padic_norm_rat,
     padic_val_int,
     padic_val_rat,
+    parse_poly,
     rational_residue,
 )
+from padic import number, valuation
+from padic.valuation import check_prime
 
 F = Fraction
 
@@ -466,3 +472,105 @@ def test_mixed_forms(compute, expected):
     else:
         result = compute()
         assert result == expected and type(result) is type(expected)
+
+
+# ----- one validated prime per value, the table of powers, digits ----------
+
+def _digits_by_divmod(p, u, n):
+    out = []
+    for _ in range(n):
+        u, r = divmod(u, p)
+        out.append(r)
+    return tuple(out)
+
+
+@st.composite
+def _units_with_high_zeros(draw):
+    """(p, unit, N) with a unit whose top N - low digits are zero."""
+    p = draw(st.sampled_from((2, 3, 5, 101)))
+    n = draw(st.integers(1, 2000))
+    low = draw(st.one_of(st.integers(1, n), st.integers(1, min(n, 4))))
+    unit = draw(st.integers(1, p**low - 1).filter(lambda u: u % p))
+    return p, unit, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(_units_with_high_zeros())
+def test_digits_match_the_divmod_loop(case):
+    p, unit, n = case
+    x = PadicNumber(p, Form.UNIT, 3, unit, n)
+    assert x.digits() == DigitExpansion(p, 3, _digits_by_divmod(p, unit, n))
+
+
+def test_digits_keep_zero_high_digits_at_every_length():
+    for p in (2, 3, 5, 101):
+        for n in list(range(1, 70)) + [127, 128, 129, 1000, 2000]:
+            for unit in (1, p - 1, p**n - 1):
+                assert PadicNumber(p, Form.UNIT, 0, unit, n).digits().digits == \
+                    _digits_by_divmod(p, unit, n)
+
+
+CHECK_PRIME_CASES = [
+    (5, 5),
+    (5.0, 5),
+    ("5", 5),
+    (True, NotPrime("p must be prime, got 1")),
+    (4, NotPrime("p must be prime, got 4")),
+    (561, NotPrime("p must be prime, got 561")),
+]
+
+
+@pytest.mark.parametrize("arg, expected", CHECK_PRIME_CASES, ids=repr)
+def test_check_prime_contract_holds_before_and_after_caching(arg, expected):
+    for _ in range(3):  # the first call may cache; later ones take the fast path
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected), match=f"^{expected}$"):
+                check_prime(arg)
+        else:
+            got = check_prime(arg)
+            assert got == expected and type(got) is int
+
+
+# every public entry that takes p, called with a prime and then a composite
+_P_ENTRIES = [
+    lambda p: PadicNumber.from_rational(p, 3, 4),
+    lambda p: PadicNumber.from_rational(p, Fraction(3, 7), 4),
+    lambda p: PadicNumber.from_rational(p, 0, 4),
+    lambda p: PadicNumber.exact_zero(p),
+    lambda p: PadicNumber.zero_at_least(p, 2),
+    lambda p: PadicNumber(p, Form.UNIT, 0, 1, 2),
+    lambda p: PadicNumber.from_record({"p": p, "form": "unit", "v": 0, "unit": "1", "N": 2}),
+    lambda p: DigitExpansion(p, 0, (1,)),
+    lambda p: padic_val_int(p, 12),
+    lambda p: padic_val_rat(p, Fraction(12, 7)),
+    lambda p: padic_norm_rat(p, 12),
+    lambda p: ext_val_rat(p, 12),
+    lambda p: PadicPoly(p, (1, 1)),
+    lambda p: parse_poly("x + 1", p),
+]
+
+
+@pytest.mark.parametrize("entry", _P_ENTRIES)
+def test_composite_p_is_refused_after_a_prime_is_cached(entry):
+    for prime in (2, 3, 5, 7, 101):
+        entry(prime)
+    # a bound on time, as an accepted p = 1 would never finish a valuation
+    with time_limit(10):
+        for composite in (1, 4, 9, 15, 561, 2 * 101, 4.0, "9", True):
+            for _ in range(2):
+                with pytest.raises(NotPrime):
+                    entry(composite)
+
+
+def test_validated_primes_and_prime_powers_stay_bounded():
+    for p in range(2, 2000):
+        if is_prime(p):
+            check_prime(p)
+            PadicNumber.from_rational(p, 1, 300)
+    assert len(valuation._KNOWN_PRIMES) <= valuation._KNOWN_PRIMES_MAX
+    assert len(number._POWERS) <= number._POWER_TABLE_PRIMES
+    # a huge precision is served, and its powers are not stored
+    x = PadicNumber.from_rational(2, -1, 50_000)
+    assert x.unit == 2**50_000 - 1
+    for row in number._POWERS.values():
+        assert row[-1].bit_length() <= number._POWER_TABLE_BITS

@@ -15,7 +15,8 @@ from padic import (
     parse_poly,
     taylor_remainder,
 )
-from padic.polynomial import MAX_DEGREE
+from padic.number import _horner
+from padic.polynomial import MAX_DEGREE, _working_precision
 
 F = Fraction
 
@@ -197,3 +198,37 @@ def test_eval_is_ring_hom_in_f():
         x = PadicNumber.from_rational(p, rng.randint(-30, 30), 12)
         assert_same_value((f + g).eval(x), f.eval(x) + g.eval(x))
         assert_same_value((f * g).eval(x), f.eval(x) * g.eval(x))
+
+
+def _eval_by_operators(f: PadicPoly, x: PadicNumber) -> PadicNumber:
+    """Horner's rule over from_rational coefficients with the value operators."""
+    wp = _working_precision(x)
+    coeffs = [PadicNumber.from_rational(f.p, c, wp) for c in f.coeffs]
+    return _horner(coeffs, x, PadicNumber.exact_zero(f.p))
+
+
+@st.composite
+def _poly_and_point(draw):
+    p = draw(st.sampled_from((2, 3, 5, 101)))
+    coeff = st.one_of(
+        st.just(F(0)),
+        st.builds(F, st.integers(-10**6, 10**6),
+                  st.integers(1, 10**4).filter(lambda d: d % p)),
+        st.builds(lambda c, v: F(c) * p**v, st.integers(-50, 50), st.integers(1, 6)),
+    )
+    coeffs = draw(st.lists(coeff, max_size=22))
+    n = draw(st.sampled_from((1, 1, 2, 8, 33, 256)))
+    unit = draw(st.integers(1, p**n - 1).filter(lambda u: u % p))
+    x = draw(st.one_of(
+        st.just(PadicNumber.exact_zero(p)),
+        st.builds(lambda a: PadicNumber.zero_at_least(p, a), st.integers(0, 40)),
+        st.builds(lambda v: PadicNumber(p, Form.UNIT, v, unit, n), st.integers(0, 5)),
+    ))
+    return PadicPoly(p, tuple(coeffs)), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poly_and_point())
+def test_eval_matches_horner_with_the_operators(case):
+    f, x = case
+    assert f.eval(x).to_record() == _eval_by_operators(f, x).to_record()
