@@ -25,15 +25,13 @@ constructors, :meth:`~PadicNumber.from_record` and every operator result
 pass the same checks.
 
 Where p is validated: ``check_prime`` runs once in each public entry
-(``__init__``, :meth:`~PadicNumber.from_rational`, the zero constructors)
-and answers a prime it has already passed with one set lookup; the
-valuations inside a value's construction take the checked p and do not
-check it again.  The operators and :meth:`PadicPoly.eval
+(``__init__``, :meth:`~PadicNumber.from_rational`, the zero constructors),
+and the valuations inside a value's construction take the checked p and
+do not check it again.  The operators and :meth:`PadicPoly.eval
 <padic.polynomial.PadicPoly.eval>` compute on plain ``(v, unit, prec)``
 triples, with ``None`` for the exact zero, and build one checked value
-per result.  Powers of p come from a bounded table: it holds at most
-``_POWER_TABLE_PRIMES`` primes and, for each, the powers of at most
-``_POWER_TABLE_BITS`` bits; larger powers are computed per call.
+per result.  Powers of p come from ``_power``, a least-recently-used
+cache of at most 256 powers.
 """
 
 from __future__ import annotations
@@ -42,6 +40,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     DivisionByZero,
@@ -54,13 +53,6 @@ from .valuation import ExtVal, _val_int, check_prime
 
 DEFAULT_PRECISION = 32
 
-# Bounds of the table of prime powers: a row holds p**0, p**1, ... while
-# they have at most _POWER_TABLE_BITS bits, about BITS**2 / (2 log2 p) bits
-# in all (256 KiB for p = 2), for at most _POWER_TABLE_PRIMES primes.
-_POWER_TABLE_PRIMES = 64
-_POWER_TABLE_BITS = 2048
-_POWERS: dict[int, list[int]] = {}
-
 
 class Form(Enum):
     EXACT_ZERO = "zero"
@@ -68,32 +60,10 @@ class Form(Enum):
     UNIT = "unit"
 
 
+@lru_cache(maxsize=256)
 def _power(p: int, n: int) -> int:
-    """``p**n`` for ``n >= 0``, read from the table of powers where it fits."""
-    try:
-        return _POWERS[p][n]
-    except (KeyError, IndexError, TypeError):
-        return _extend_powers(p, n)
-
-
-def _extend_powers(p: int, n: int) -> int:
-    row = _POWERS.get(p)
-    if row is None:
-        if type(p) is not int or len(_POWERS) >= _POWER_TABLE_PRIMES:
-            return p**n
-        row = [1]
-    if type(n) is not int or (row[-1] * p).bit_length() > _POWER_TABLE_BITS:
-        return p**n
-    # grow a copy and store it whole, so a reader in another thread never
-    # sees a row whose entries are not p**0, p**1, ...
-    row = row[:]
-    while len(row) <= n:
-        top = row[-1] * p
-        if top.bit_length() > _POWER_TABLE_BITS:
-            break
-        row.append(top)
-    _POWERS[p] = row
-    return row[n] if n < len(row) else p**n
+    """``p**n``; a value works at a few precisions, so few powers recur."""
+    return p**n
 
 
 # ----- arithmetic on (v, unit, prec) triples, None for the exact zero -------
@@ -157,37 +127,6 @@ def _embed(p: int, q, prec: int):
         num *= pow(den // _power(p, vd), -1, modulus)
         v -= vd
     return v, num % modulus, prec
-
-
-def _digits(p: int, u: int, n: int) -> tuple[int, ...]:
-    """The ``n`` lowest base-p digits of ``u``, lowest first, zeros included.
-
-    Divide and conquer: ``u`` is split at p**(c * 2**i), i = L-1, ..., 0,
-    into 2**L word-sized chunks below p**c <= 2**60, and each chunk's c
-    digits are peeled off a small int.  The long divisions halve in size
-    at each level, so a digit costs one small divmod instead of a pass
-    over the whole unit.
-
-    >>> _digits(5, 3 + 4 * 5**2, 5)
-    (3, 0, 4, 0, 0)
-    """
-    c = max(1, 60 // p.bit_length())
-    top = 1
-    while top * c < n:
-        top *= 2
-    c = -(-n // top)  # the fewest digits per chunk that still cover n
-    chunks = [u]  # highest chunk first
-    while top > 1:
-        top //= 2
-        block = _power(p, c * top)
-        chunks = [r for x in chunks for r in divmod(x, block)]
-    out = []
-    for x in reversed(chunks):
-        for _ in range(c):
-            out.append(x % p)
-            x //= p
-    del out[n:]
-    return tuple(out)
 
 
 def _horner(coeffs, x, acc):
@@ -296,7 +235,12 @@ class PadicNumber:
         """
         if self.form is not Form.UNIT:
             raise ZeroHasNoExpansion("zero has no canonical expansion")
-        return DigitExpansion(self.p, self.v, _digits(self.p, self.unit, self.prec))
+        out = []
+        u = self.unit
+        for _ in range(self.prec):
+            u, r = divmod(u, self.p)
+            out.append(r)
+        return DigitExpansion(self.p, self.v, tuple(out))
 
     def reduce_mod(self, k: int) -> int:
         """The unique residue r in [0, p**k) with x = r (mod p**k)."""

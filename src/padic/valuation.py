@@ -29,7 +29,7 @@ from .errors import IndeterminateValuation, NotPrime
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
     """Deterministic primality test (trial division + Miller-Rabin).
 
@@ -60,12 +60,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Exact ints that check_prime has passed, so that checking one again is a
-# single set lookup; bounded, so a stream of distinct primes cannot grow it.
-_KNOWN_PRIMES: set[int] = set()
-_KNOWN_PRIMES_MAX = 64
-
-
 def check_prime(p) -> int:
     """Return ``p`` as an int, raising :class:`NotPrime` if it is not prime.
 
@@ -76,13 +70,9 @@ def check_prime(p) -> int:
     ...
     padic.errors.NotPrime: p must be prime, got 561
     """
-    if type(p) is int and p in _KNOWN_PRIMES:
-        return p
     p = int(p)
     if not is_prime(p):
         raise NotPrime(f"p must be prime, got {p}")
-    if len(_KNOWN_PRIMES) < _KNOWN_PRIMES_MAX:
-        _KNOWN_PRIMES.add(p)
     return p
 
 
