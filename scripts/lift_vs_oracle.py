@@ -14,7 +14,23 @@ import random
 import time
 from fractions import Fraction
 
-from padic import PadicPoly, enumerate_roots, lift, unique_in_neighborhood
+from padic import (
+    DerivativeVanishes,
+    HypothesisFailed,
+    PadicPoly,
+    check_hypothesis,
+    enumerate_roots,
+    lift,
+    unique_in_neighborhood,
+)
+
+
+def simple_seed(f: PadicPoly, a: int) -> bool:
+    """Whether f(a) = 0 and f'(a) != 0 mod p, that is, e = 0 at a."""
+    try:
+        return check_hypothesis(f, a).e == 0
+    except (HypothesisFailed, DerivativeVanishes):
+        return False
 
 
 def run_prime(p: int, k: int, trials: int, max_degree: int, rng: random.Random):
@@ -26,10 +42,7 @@ def run_prime(p: int, k: int, trials: int, max_degree: int, rng: random.Random):
         degree = rng.randint(2, max_degree)
         coeffs = tuple(Fraction(rng.randint(0, p**2)) for _ in range(degree))
         f = PadicPoly(p, coeffs + (Fraction(1),))
-        seeds = [
-            a for a in range(p)
-            if f.eval_exact(a) % p == 0 and f.derivative().eval_exact(a) % p != 0
-        ]
+        seeds = [a for a in range(p) if simple_seed(f, a)]
         if not seeds:
             continue
         report = enumerate_roots(f, k)

@@ -41,7 +41,6 @@ from .oracle import CrosscheckReport, OracleReport, crosscheck_arith, enumerate_
 from .polynomial import PadicPoly, divided_difference, parse_poly, taylor_remainder
 from .valuation import (
     ExtVal,
-    Prime,
     ext_val_rat,
     is_prime,
     padic_norm_rat,
@@ -74,7 +73,6 @@ __all__ = [
     "PadicNumber",
     "PadicPoly",
     "PrecisionExhausted",
-    "Prime",
     "VerificationResult",
     "ZeroHasNoExpansion",
     "certificate_from_record",

@@ -195,8 +195,9 @@ def _cmd_eval(p: int, args) -> int:
     payload = dict(record)
     lines = [f"{key}: {record[key]}" for key in record]
     if value.form is Form.UNIT:
-        payload["digits"] = list(value.digits().digits)
-        lines.append(f"digits: {value}")
+        expansion = value.digits()
+        payload["digits"] = list(expansion.digits)
+        lines.append(f"digits: {expansion}")
     _emit(args, payload, "\n".join(lines))
     return EXIT_OK
 

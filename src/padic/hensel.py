@@ -123,7 +123,7 @@ class HenselCertificate:
     def dist_exponent(self) -> int | None:
         """nu(root - a) mod p**k; None when they agree."""
         mod_k = self.p**self.k
-        return _distance(self.p, mod_k, self.root, rational_residue(self.a, mod_k))
+        return _val(self.p, (self.root - rational_residue(self.a, mod_k)) % mod_k)
 
 
 @dataclass(frozen=True)
@@ -152,11 +152,9 @@ def check_hypothesis(f: PadicPoly, a) -> Hypothesis:
         raise ValueError("polynomial must be nonconstant")
     if padic_val_rat(p, a) < 0:
         raise NotAnInteger(f"seed {a} is not a {p}-adic integer")
-    ints, dints = _cleared(f)
-    e = _val(p, _horner(dints, a, 0))
+    e, m = _exponents(p, *_cleared(f), a)
     if e is None:
         raise DerivativeVanishes(f"f'({a}) = 0, no lifting neighborhood")
-    m = _val(p, _horner(ints, a, 0))
     if m is None:
         return Hypothesis(e=e, m=None, t=None)
     if m <= 2 * e:
@@ -169,6 +167,12 @@ def _val(p: int, x: int | Fraction) -> int | None:
     if x == 0:
         return None
     return padic_val_rat(p, x)
+
+
+def _exponents(p: int, ints: tuple[int, ...], dints: tuple[int, ...],
+               a: Fraction) -> tuple[int | None, int | None]:
+    """(e, m) = (nu(f'(a)), nu(f(a))) from the :func:`_cleared` coefficients."""
+    return _val(p, _horner(dints, a, 0)), _val(p, _horner(ints, a, 0))
 
 
 def _split(p: int, x: int, floor: int) -> tuple[int | None, int]:
@@ -189,10 +193,18 @@ def _split(p: int, x: int, floor: int) -> tuple[int | None, int]:
     return floor + j, q // p**j if j else q
 
 
-def _has_val(p: int, x: int, e: int) -> bool:
-    """Whether nu(x) = e for an integer x and e >= 0, read from x mod p**(e + 1)."""
-    r = x % p ** (e + 1)
-    return r != 0 and r % p**e == 0
+def _measure(p: int, ints: tuple[int, ...], dints: tuple[int, ...], x: int,
+             e: int, floor: int = 0) -> tuple[int | None, int, int | None]:
+    """(nu(f(x)), its unit part, f'(x)/p**e) at an integer x.
+
+    f and f' are the :func:`_cleared` ``ints`` and ``dints``.  The first two
+    are :func:`_split` of f(x) from ``floor``.  The last is None unless
+    nu(f'(x)) = e, which f'(x) mod p**(e + 1) decides.
+    """
+    val_f, u = _split(p, _horner(ints, x, 0), floor)
+    fpa = _horner(dints, x, 0)
+    r = fpa % p ** (e + 1)
+    return val_f, u, fpa // p**e if r and not r % p**e else None
 
 
 def _visible(v: int | None, k: int) -> int:
@@ -210,12 +222,6 @@ def _capped(c: int, t: int, n: int, cap: int) -> int:
     if n >= cap.bit_length():
         return cap
     return min(c + (t << n if n >= 0 else -(-t >> -n)), cap)
-
-
-def _distance(p: int, modulus: int, x: int, y: int) -> int | None:
-    """nu(x - y) for the difference reduced mod ``modulus``; None when x = y there."""
-    d = (x - y) % modulus
-    return None if d == 0 else padic_val_int(p, d)
 
 
 def _unit_inverse(h: int, p: int, w: int, x: int = 0, known: int = 0) -> int:
@@ -308,17 +314,15 @@ def newton_step(f: PadicPoly, a_n: int, hyp: Hypothesis, k: int) -> int:
     """
     p, e = f.p, hyp.e
     _require_room(k, e)
-    ints, dints = _cleared(f)
     a_n %= p**k
-    val_f, u = _split(p, _horner(ints, a_n, 0), 0)
+    val_f, u, h = _measure(p, *_cleared(f), a_n, e)
     if val_f is None or val_f >= k:
         return a_n
     if val_f < e + 1:
         raise ValueError(f"newton step needs nu(f(a_n)) > {e}, got {val_f}")
-    fpa = _horner(dints, a_n, 0)
-    if not _has_val(p, fpa, e):
+    if h is None:
         raise ValueError("derivative valuation at a_n does not match e")
-    return _step(p, a_n, u, val_f, fpa // p**e, e, k)[0]
+    return _step(p, a_n, u, val_f, h, e, k)[0]
 
 
 def lift(f: PadicPoly, a, k: int) -> HenselCertificate:
@@ -348,9 +352,8 @@ def lift(f: PadicPoly, a, k: int) -> HenselCertificate:
         cur, floor = rational_residue(a, p ** (2 * hyp.m)), hyp.m
         inv, known = 0, 0  # an inverse of f'(cur)/p**e modulo p**known
         for n in range(MAX_STEPS + 1):
-            val_f, u = _split(p, _horner(ints, cur, 0), floor)
-            fpa = _horner(dints, cur, 0)
-            if not _has_val(p, fpa, e):
+            val_f, u, h = _measure(p, ints, dints, cur, e, floor)
+            if h is None:
                 raise InternalBoundViolation(
                     f"derivative valuation drifted from {e} at step {n}"
                 )
@@ -362,7 +365,7 @@ def lift(f: PadicPoly, a, k: int) -> HenselCertificate:
             if val_f is None or val_f >= kw:
                 break
             w = min(2 * val_f - e, kw)
-            cur, inv = _step(p, cur, u, val_f, fpa // p**e, e, w, inv, known)
+            cur, inv = _step(p, cur, u, val_f, h, e, w, inv, known)
             root = cur % mod_k
             # nu(cur - previous cur) >= val_f - e moves f'/p**e by at least
             # val_f - 2e digits, so inv stays an inverse to that many
@@ -423,9 +426,9 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
     mod_k = p**k
 
     ints, dints = _cleared(f)
-    if _val(p, _horner(dints, cert.a, 0)) != e:
+    e_true, m_true = _exponents(p, ints, dints, cert.a)
+    if e_true != e:
         fails.append("hypothesis_e")
-    m_true = _val(p, _horner(ints, cert.a, 0))
     if hyp.m != m_true:
         fails.append("hypothesis_m")
     if hyp.degenerate != (m_true is None):
@@ -456,7 +459,7 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
     if not shows(dints, cert.root, e):
         fails.append("derivative_stability")
 
-    measured = _distance(p, mod_k, cert.root, seed_res)
+    measured = _val(p, (cert.root - seed_res) % mod_k)
     if cert.degenerate:
         if cert.trace:
             fails.append("trace_empty")
@@ -549,7 +552,7 @@ def unique_in_neighborhood(f: PadicPoly, cert: HenselCertificate, z2: int) -> bo
     # prime, whose cleared denominators need not be units mod p
     if _value_mod([rational_residue(c, mod_k) for c in f.coeffs], z2, mod_k) != 0:
         raise ValueError(f"{z2} is not a root of f modulo {p}^{k}")
-    d = _distance(p, mod_k, z2, rational_residue(cert.a, mod_k))
+    d = _val(p, (z2 - rational_residue(cert.a, mod_k)) % mod_k)
     if d is None or d > cert.uniqueness_radius_exponent:
         return z2 == cert.root
     return True
@@ -573,9 +576,8 @@ def certificate_to_record(cert: HenselCertificate) -> dict:
 
 def certificate_from_record(record: dict) -> HenselCertificate:
     """Inverse of :func:`certificate_to_record`."""
-    p = int(record["p"])
-    k = int(record["K"])
-    f = PadicPoly(p, tuple(Fraction(c) for c in record["f"]))
+    f = PadicPoly(record["p"], tuple(Fraction(c) for c in record["f"]))
+    p, k = f.p, int(record["K"])
     a = Fraction(record["a"])
     e = int(record["e"])
     m = record["m"]

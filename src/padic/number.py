@@ -24,10 +24,14 @@ frozen dataclass's per-field ``object.__setattr__`` calls.  Public
 constructors, :meth:`~PadicNumber.from_record` and every operator result
 pass the same checks.
 
-Where p is validated: ``check_prime`` runs once in each public entry
-(``__init__``, :meth:`~PadicNumber.from_rational`, the zero constructors),
-and the valuations inside a value's construction take the checked p and
-do not check it again.  The operators and :meth:`PadicPoly.eval
+Where p is validated: every constructor stores the int that
+``check_prime`` returns, not the caller's p, so a stored ``p`` is a
+prime int that downstream code may trust.  ``check_prime`` runs
+in ``__init__`` (the zero constructors and :meth:`~PadicNumber.from_record`
+go through it), in :meth:`~PadicNumber.from_rational`, which needs p
+before it embeds, and in ``DigitExpansion`` and ``PadicPoly``
+construction.  The valuations inside a value's construction take the
+checked p.  The operators and :meth:`PadicPoly.eval
 <padic.polynomial.PadicPoly.eval>` compute on plain ``(v, unit, prec)``
 triples, with ``None`` for the exact zero, and build one checked value
 per result.  Powers of p come from ``_power``, a least-recently-used
@@ -168,7 +172,7 @@ class PadicNumber:
     prec: int = 0
 
     def __init__(self, p: int, form: Form, v: int = 0, unit: int = 0, prec: int = 0):
-        check_prime(p)
+        p = check_prime(p)
         if form is Form.UNIT:
             if prec < 1:
                 raise ValueError("relative precision must be at least 1")
@@ -186,11 +190,11 @@ class PadicNumber:
 
     @classmethod
     def exact_zero(cls, p) -> "PadicNumber":
-        return cls(check_prime(p), Form.EXACT_ZERO)
+        return cls(p, Form.EXACT_ZERO)
 
     @classmethod
     def zero_at_least(cls, p, floor: int) -> "PadicNumber":
-        return cls(check_prime(p), Form.ZERO_AT_LEAST, int(floor))
+        return cls(p, Form.ZERO_AT_LEAST, int(floor))
 
     @classmethod
     def from_rational(cls, p, q, prec: int = DEFAULT_PRECISION) -> "PadicNumber":
@@ -393,7 +397,7 @@ class PadicNumber:
     @classmethod
     def from_record(cls, record: dict) -> "PadicNumber":
         return cls(
-            int(record["p"]),
+            record["p"],
             Form(record["form"]),
             int(record["v"]),
             int(record["unit"]),
@@ -421,7 +425,7 @@ class DigitExpansion:
     digits: tuple[int, ...]
 
     def __post_init__(self):
-        check_prime(self.p)
+        object.__setattr__(self, "p", check_prime(self.p))
         if not self.digits:
             raise ValueError("expansion must contain at least one digit")
         if min(self.digits) < 0 or max(self.digits) >= self.p:

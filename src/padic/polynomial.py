@@ -39,7 +39,7 @@ class PadicPoly:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        check_prime(self.p)
+        object.__setattr__(self, "p", check_prime(self.p))
         coeffs = [Fraction(c) for c in self.coeffs]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
@@ -100,7 +100,7 @@ class PadicPoly:
         is built at the end.
         """
         _require_integer_points(self, x)
-        p, wp, point = check_prime(self.p), _working_precision(x), _parts(x)
+        p, wp, point = self.p, _working_precision(x), _parts(x)
         acc = None
         for c in reversed(self.coeffs):
             acc = _add_parts(p, _mul_parts(p, acc, point), _embed(p, c, wp))

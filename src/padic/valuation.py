@@ -63,6 +63,9 @@ def is_prime(n: int) -> bool:
 def check_prime(p) -> int:
     """Return ``p`` as an int, raising :class:`NotPrime` if it is not prime.
 
+    A p that ``int()`` would truncate, such as ``5.5``, is not prime
+    either; a string is read as ``int()`` reads it.
+
     >>> check_prime(5.0)
     5
     >>> check_prime(561)
@@ -70,26 +73,14 @@ def check_prime(p) -> int:
     ...
     padic.errors.NotPrime: p must be prime, got 561
     """
-    p = int(p)
+    if type(p) is not int:
+        n = int(p)
+        if n != p and not isinstance(p, str):
+            raise NotPrime(f"p must be prime, got {p}")
+        p = n
     if not is_prime(p):
         raise NotPrime(f"p must be prime, got {p}")
     return p
-
-
-@dataclass(frozen=True)
-class Prime:
-    """A certified prime base; construction rejects composites."""
-
-    p: int
-
-    def __post_init__(self):
-        check_prime(self.p)
-
-    def __int__(self) -> int:
-        return self.p
-
-    def __str__(self) -> str:
-        return str(self.p)
 
 
 @dataclass(frozen=True)

@@ -764,3 +764,17 @@ def test_value_mod_matches_reducing_every_coefficient(case):
     coeffs, x, modulus = case
     want = _horner([c % modulus for c in coeffs], x, 0) % modulus
     assert _value_mod(coeffs, x, modulus) == want
+
+
+@pytest.mark.parametrize("k", [8, 500])
+def test_a_float_p_lifts_as_its_int(k):
+    # PadicPoly stores the int check_prime returns, so nothing downstream
+    # meets the float: it once raised TypeError at k = 8, OverflowError at 500
+    f = PadicPoly(5.0, (-6, 0, 1))
+    assert type(f.p) is int
+    cert = lift(f, 1, k)
+    assert cert.checks_passed
+    assert certificate_to_record(cert) == certificate_to_record(
+        lift(PadicPoly(5, (-6, 0, 1)), 1, k)
+    )
+    assert enumerate_roots(f, 3).roots == enumerate_roots(PadicPoly(5, (-6, 0, 1)), 3).roots

@@ -483,6 +483,7 @@ CHECK_PRIME_CASES = [
     (True, NotPrime("p must be prime, got 1")),
     (4, NotPrime("p must be prime, got 4")),
     (561, NotPrime("p must be prime, got 561")),
+    (5.5, NotPrime("p must be prime, got 5.5")),
 ]
 
 
@@ -495,6 +496,27 @@ def test_check_prime_contract_holds_before_and_after_caching(arg, expected):
         else:
             got = check_prime(arg)
             assert got == expected and type(got) is int
+
+
+@pytest.mark.parametrize("p", [5.0, "5"], ids=repr)
+def test_constructors_store_the_int_check_prime_returns(p):
+    values = [
+        PadicNumber(p, Form.UNIT, 0, 3, 4),
+        PadicNumber.exact_zero(p),
+        PadicNumber.zero_at_least(p, 2),
+        PadicNumber.from_rational(p, 7, 4),
+        PadicNumber.from_record({"p": p, "form": "unit", "v": 0, "unit": "1", "N": 2}),
+        PadicPoly(p, (-6, 0, 1)),
+        parse_poly("x^2 - 6", p),
+        DigitExpansion(p, 0, (1, 2)),
+    ]
+    for x in values:
+        assert type(x.p) is int and x.p == 5
+    # a float p once reached the digit string and the prime-mixing check
+    assert str(DigitExpansion(p, 0, (1, 2)).to_number()) == "...21"
+    assert (PadicNumber(p, Form.UNIT, 0, 3, 4) + 1).to_record() == (
+        PadicNumber.from_rational(5, 4, 4).to_record()
+    )
 
 
 # every public entry that takes p, called with a prime and then a composite
@@ -522,7 +544,9 @@ def test_composite_p_is_refused_after_a_prime_is_cached(entry):
         entry(prime)
     # a bound on time, as an accepted p = 1 would never finish a valuation
     with time_limit(10):
-        for composite in (1, 4, 9, 15, 561, 2 * 101, 4.0, "9", True):
+        # 5.5 and 11/2 are no primes, though int() would truncate them to 5
+        for composite in (1, 4, 9, 15, 561, 2 * 101, 4.0, "9", True,
+                          5.5, Fraction(11, 2)):
             for _ in range(2):
                 with pytest.raises(NotPrime):
                     entry(composite)

@@ -13,13 +13,13 @@ from padic import (
     IndeterminateValuation,
     NotPrime,
     PadicNumber,
-    Prime,
     ext_val_rat,
     is_prime,
     padic_norm_rat,
     padic_val_int,
     padic_val_rat,
 )
+from padic.valuation import check_prime
 
 
 def test_val_int_examples():
@@ -47,10 +47,10 @@ def test_ext_val_examples():
 
 
 def test_prime_validation():
-    assert int(Prime(13)) == 13
+    assert check_prime(13) == 13
     for bad in (4, 1, 0, -3, 561):  # 561 is a Carmichael number
         with pytest.raises(NotPrime):
-            Prime(bad)
+            check_prime(bad)
 
 
 def test_is_prime_spot_checks():
