@@ -67,7 +67,7 @@ from .errors import (
 )
 from .number import _horner, rational_residue
 from .polynomial import PadicPoly
-from .valuation import padic_val_int, padic_val_rat
+from .valuation import _val_int, padic_val_int
 
 MAX_STEPS = 64
 
@@ -141,18 +141,24 @@ def check_hypothesis(f: PadicPoly, a) -> Hypothesis:
     Raises :class:`DerivativeVanishes` when f'(a) = 0 (the hypothesis
     |f(a)| < |f'(a)|**2 is then unsatisfiable) and
     :class:`HypothesisFailed` when nu(f(a)) <= 2*nu(f'(a)).  e and m are
-    read by Horner on the :func:`_cleared` integer coefficients at the
-    Fraction seed, as :func:`verify_certificate` reads them; the lcm of
-    f's denominators is a p-adic unit, so they are the valuations of f
-    and f'.
+    read by :func:`_exponents` in integers, from the :func:`_cleared`
+    coefficients and the seed's numerator and denominator, as
+    :func:`verify_certificate` reads them; the lcm of f's denominators and
+    the seed's denominator are p-adic units, so they are the valuations
+    of f and f' at the seed.
     """
+    return _hypothesis(f, Fraction(a), *_cleared(f))
+
+
+def _hypothesis(f: PadicPoly, a: Fraction, ints: tuple[int, ...],
+                dints: tuple[int, ...]) -> Hypothesis:
+    """:func:`check_hypothesis` on f's :func:`_cleared` coefficients."""
     p = f.p
-    a = Fraction(a)
     if f.degree < 1:
         raise ValueError("polynomial must be nonconstant")
-    if padic_val_rat(p, a) < 0:
+    if a.denominator % p == 0:
         raise NotAnInteger(f"seed {a} is not a {p}-adic integer")
-    e, m = _exponents(p, *_cleared(f), a)
+    e, m = _exponents(p, ints, dints, a)
     if e is None:
         raise DerivativeVanishes(f"f'({a}) = 0, no lifting neighborhood")
     if m is None:
@@ -162,17 +168,31 @@ def check_hypothesis(f: PadicPoly, a) -> Hypothesis:
     return Hypothesis(e=e, m=m, t=m - 2 * e)
 
 
-def _val(p: int, x: int | Fraction) -> int | None:
-    """nu(x), or None when x = 0 (valuation +infinity)."""
-    if x == 0:
-        return None
-    return padic_val_rat(p, x)
+def _val(p: int, x: int) -> int | None:
+    """nu(x) of an integer, or None when x = 0 (valuation +infinity)."""
+    return None if x == 0 else _val_int(p, x)
 
 
 def _exponents(p: int, ints: tuple[int, ...], dints: tuple[int, ...],
-               a: Fraction) -> tuple[int | None, int | None]:
-    """(e, m) = (nu(f'(a)), nu(f(a))) from the :func:`_cleared` coefficients."""
-    return _val(p, _horner(dints, a, 0)), _val(p, _horner(ints, a, 0))
+               a: Fraction | int) -> tuple[int | None, int | None]:
+    """(e, m) = (nu(f'(a)), nu(f(a))) from the :func:`_cleared` coefficients.
+
+    For a = n/d and coefficients c_0 .. c_D, the integer
+    sum(c_i * n**i * d**(D - i)) is d**D times the polynomial at a, and d
+    is a p-adic unit, so it has the valuation at a with no Fraction built.
+
+    >>> _exponents(5, (-6, 0, 1), (0, 2), Fraction(7, 2))  # f = x^2 - 6
+    (0, 2)
+    """
+    n, d = a.numerator, a.denominator
+
+    def val(coeffs: tuple[int, ...]) -> int | None:
+        acc = 0
+        for i, c in enumerate(reversed(coeffs)):  # c_(D - i) gets d**i
+            acc = acc * n + c * d**i
+        return _val(p, acc)
+
+    return val(dints), val(ints)
 
 
 def _split(p: int, x: int, floor: int) -> tuple[int | None, int]:
@@ -339,7 +359,8 @@ def lift(f: PadicPoly, a, k: int) -> HenselCertificate:
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
     a = Fraction(a)
-    hyp = check_hypothesis(f, a)
+    ints, dints = _cleared(f)
+    hyp = _hypothesis(f, a, ints, dints)
     mod_k = p**k
     trace: list[LiftStep] = []
     root = rational_residue(a, mod_k)
@@ -347,7 +368,6 @@ def lift(f: PadicPoly, a, k: int) -> HenselCertificate:
         e, t = hyp.e, hyp.t
         kw = k + e
         _require_room(k, e)
-        ints, dints = _cleared(f)
         # the seed mod p**(2m) keeps nu(f) = m and the precision step 1 needs
         cur, floor = rational_residue(a, p ** (2 * hyp.m)), hyp.m
         inv, known = 0, 0  # an inverse of f'(cur)/p**e modulo p**known

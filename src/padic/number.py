@@ -18,9 +18,10 @@ its operands, addition keeps the minimum *absolute* precision
 operations pure.
 
 Every value goes through the one ``__init__``, which checks its fields
-(``p`` prime, a unit residue in range and coprime to p, zeros without
-unit data) and then stores them in one step rather than through the
-frozen dataclass's per-field ``object.__setattr__`` calls.  Public
+(``p`` prime, ``v``, ``unit`` and ``prec`` ints, a unit residue in range
+and coprime to p, zeros without unit data) and then stores them in one
+step rather than through the frozen dataclass's per-field
+``object.__setattr__`` calls.  Public
 constructors, :meth:`~PadicNumber.from_record` and every operator result
 pass the same checks.
 
@@ -173,6 +174,8 @@ class PadicNumber:
 
     def __init__(self, p: int, form: Form, v: int = 0, unit: int = 0, prec: int = 0):
         p = check_prime(p)
+        if type(v) is not int or type(unit) is not int or type(prec) is not int:
+            raise TypeError(f"v, unit, prec must be ints: {v!r}, {unit!r}, {prec!r}")
         if form is Form.UNIT:
             if prec < 1:
                 raise ValueError("relative precision must be at least 1")

@@ -47,19 +47,26 @@ def _root_tree(f: PadicPoly, k: int) -> np.ndarray:
 
     Level j holds the roots mod p**j.  Each root r there has the p
     children r + i*p**j, and the children that are roots mod p**(j+1)
-    form level j + 1.  All children of a level are evaluated at once.
+    form level j + 1.  All children of a level are evaluated at once, by
+    Horner from the leading residue.  Each coefficient is reduced mod
+    p**k once, since a residue mod p**k is one mod every p**j below it;
+    the zero polynomial, with no coefficients, is the constant 0.  An
+    empty level has no children, so the tree stops there.
     """
-    p = f.p
+    p, modulus = f.p, f.p**k
+    residues = [_residue(c, modulus) for c in f.coeffs] or [0]
+    lead, rest = residues[-1], residues[-2::-1]
     # Children are built digit-major, so each level stays ascending; int64
     # is safe since p**k <= 1e7 keeps every product below 2**63.
-    level = np.zeros(1, dtype=np.int64)
-    pj = 1
-    for _ in range(k):
-        children = np.add.outer(np.arange(p, dtype=np.int64) * pj, level).ravel()
+    digits = np.arange(p, dtype=np.int64)
+    level, pj = np.zeros(1, dtype=np.int64), 1
+    while level.size and pj < modulus:
+        children = np.add.outer(digits * pj, level).ravel()
         pj *= p
-        acc = np.zeros_like(children)
-        for c in reversed(f.coeffs):
-            acc = (acc * children + _residue(c, pj)) % pj
+        # a constant f takes no Horner step, so it starts as a whole array
+        acc = lead if rest else np.full_like(children, lead % pj)
+        for c in rest:
+            acc = (acc * children + c) % pj
         level = children[acc == 0]
     return level
 

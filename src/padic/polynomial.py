@@ -222,19 +222,13 @@ def parse_poly(text: str, p) -> PadicPoly:
         raise ValueError(f"cannot parse polynomial {text!r}")
     powers: dict[int, Fraction] = {}
     for token in tokens:
-        sign = 1
-        body = token
-        if body[0] in "+-":
-            sign = -1 if body[0] == "-" else 1
-            body = body[1:]
+        # each token holds at most one sign, its first character
+        sign, body = -1 if token[0] == "-" else 1, token.lstrip("+-")
         match = _TERM_RE.fullmatch(body)
         if not body or not match or (match.group(1) is None and match.group(2) is None):
             raise ValueError(f"cannot parse term {token!r} in {text!r}")
         coeff = Fraction(match.group(1)) if match.group(1) else Fraction(1)
-        if match.group(2) is None:
-            power = 0
-        else:
-            power = int(match.group(3)) if match.group(3) else 1
+        power = 0 if match.group(2) is None else int(match.group(3) or 1)
         if power > MAX_DEGREE:
             raise ValueError(f"exponent {power} in {token!r} exceeds {MAX_DEGREE}")
         powers[power] = powers.get(power, Fraction(0)) + sign * coeff

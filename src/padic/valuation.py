@@ -196,11 +196,8 @@ def _val_int(p: int, z: int) -> int:
 
 def padic_val_rat(p, q) -> int:
     """Valuation on rationals: nu(numerator) - nu(denominator); 0 at q = 0."""
-    p = check_prime(p)
-    q = Fraction(q)
-    if q == 0:
-        return 0
-    return _val_int(p, q.numerator) - _val_int(p, q.denominator)
+    val = ext_val_rat(p, q)
+    return 0 if val.low == math.inf else val.low
 
 
 def padic_norm_rat(p, q) -> Fraction:
@@ -218,4 +215,4 @@ def ext_val_rat(p, q) -> ExtVal:
     q = Fraction(q)
     if q == 0:
         return ExtVal.exact_zero()
-    return ExtVal.finite(padic_val_rat(p, q))
+    return ExtVal.finite(_val_int(p, q.numerator) - _val_int(p, q.denominator))

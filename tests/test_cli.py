@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 from conftest import time_limit
-from padic import InternalBoundViolation, cli, lift, parse_poly
+from padic import InternalBoundViolation, cli, lift, parse_poly, valuation
 from padic.hensel import certificate_from_record
 
 
@@ -73,6 +73,23 @@ def test_norm_json(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["valuation"] == -3 and payload["norm"] == "8"
+
+
+def test_norm_checks_its_prime_fewer_times(capsys, monkeypatch):
+    # one norm once checked p four times: in main, ext_val_rat,
+    # padic_val_rat and norm_fraction
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return check(p)
+
+    check = valuation.check_prime
+    monkeypatch.setattr(valuation, "check_prime", counting)
+    monkeypatch.setattr(cli, "check_prime", counting)
+    code, out, _ = run_cli(capsys, "norm", "-p", "5", "3/25")
+    assert code == 0 and out == "5^2 = 25\n"
+    assert calls == [5] * 3
 
 
 def test_digits_minus_one(capsys):

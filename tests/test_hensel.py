@@ -778,3 +778,47 @@ def test_a_float_p_lifts_as_its_int(k):
         lift(PadicPoly(5, (-6, 0, 1)), 1, k)
     )
     assert enumerate_roots(f, 3).roots == enumerate_roots(PadicPoly(5, (-6, 0, 1)), 3).roots
+
+
+@st.composite
+def _poly_and_unit_seed(draw):
+    """f with unit-denominator coefficients and a seed n/d, d a unit (large ones too)."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 101]))
+    units = st.integers(1, 10**30).filter(lambda d: d % p)
+    coeffs = draw(st.lists(st.builds(F, st.integers(-10**6, 10**6), units),
+                           min_size=1, max_size=6))
+    seed = draw(st.one_of(st.just(F(0)), st.integers(-10**6, 10**6).map(F),
+                          st.builds(F, st.integers(-10**40, 10**40), units)))
+    return PadicPoly(p, coeffs), seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poly_and_unit_seed())
+def test_exponents_are_the_valuations_of_f_and_its_derivative_at_the_seed(case):
+    f, a = case
+    p = f.p
+
+    def nu(x):
+        return None if x == 0 else padic_val_rat(p, x)
+
+    # f(a) and f'(a) in Fractions, sharing no evaluation code with hensel
+    value = sum(c * a**i for i, c in enumerate(f.coeffs))
+    slope = sum(i * c * a ** (i - 1) for i, c in enumerate(f.coeffs) if i)
+    assert hensel._exponents(p, *hensel._cleared(f), a) == (nu(slope), nu(value))
+    if a.denominator == 1:
+        assert hensel._exponents(p, *hensel._cleared(f), a.numerator) == (nu(slope), nu(value))
+
+
+@pytest.mark.parametrize("poly, seed, error, message", [
+    ("x^2 - 6", F(1, 5), NotAnInteger, "seed 1/5 is not a 5-adic integer"),
+    ("x^2 - 6", F(-7, 50), NotAnInteger, "seed -7/50 is not a 5-adic integer"),
+    ("7", 1, ValueError, "polynomial must be nonconstant"),
+    ("7", F(1, 5), ValueError, "polynomial must be nonconstant"),
+    ("0", 1, ValueError, "polynomial must be nonconstant"),
+])
+def test_hypothesis_errors_read_as_before(poly, seed, error, message):
+    f = parse_poly(poly, 5)
+    for call in (lambda: check_hypothesis(f, seed), lambda: lift(f, seed, 4)):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message

@@ -519,6 +519,15 @@ def test_constructors_store_the_int_check_prime_returns(p):
     )
 
 
+@pytest.mark.parametrize("v, unit, prec", [(1.5, 3, 4), (0, 3.0, 4), (0, 3, 4.0)], ids=repr)
+def test_a_non_int_field_is_refused(v, unit, prec):
+    # each was once accepted: the valuation printed as "5^1.5", a float unit
+    # reached records as "9.0", and a float precision failed only in digits()
+    with pytest.raises(TypeError):
+        PadicNumber(5, Form.UNIT, v, unit, prec)
+    assert PadicNumber(5, Form.UNIT, int(v), int(unit), int(prec)).to_record()["unit"] == "3"
+
+
 # every public entry that takes p, called with a prime and then a composite
 _P_ENTRIES = [
     lambda p: PadicNumber.from_rational(p, 3, 4),

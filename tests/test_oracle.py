@@ -203,3 +203,47 @@ def test_wide_frontiers_keep_exactly_the_roots_in_order():
     a = 1234567
     f = PadicPoly(2, (Fraction(a * a), Fraction(-2 * a), Fraction(1)))
     assert enumerate_roots(f, 22).roots == tuple(range(a % 2**11, 2**22, 2**11))
+
+
+class _CountingNumpy:
+    """numpy, counting the attributes the tree reads off it."""
+
+    def __init__(self, np):
+        self.np, self.reads = np, collections.Counter()
+
+    def __getattr__(self, name):
+        self.reads[name] += 1
+        return getattr(self.np, name)
+
+
+def test_a_root_free_tree_stops_at_its_first_empty_level(monkeypatch):
+    # x^2 + x + 1 is 1 at both residues mod 2; the tree once ran all k
+    # levels, and raised OverflowError once 2**j no longer fit in int64
+    counting = _CountingNumpy(padic.oracle.np)
+    monkeypatch.setattr(padic.oracle, "np", counting)
+    with time_limit(5):
+        level = padic.oracle._root_tree(PadicPoly(2, (1, 1, 1)), 200)
+    assert level.tolist() == []
+    assert counting.reads["add"] == 1  # one level's children, np.add.outer
+
+
+def test_each_coefficient_is_reduced_once(monkeypatch):
+    calls = []
+
+    def counting(q, modulus):
+        calls.append(modulus)
+        return residue(q, modulus)
+
+    residue = padic.oracle._residue
+    monkeypatch.setattr(padic.oracle, "_residue", counting)
+    f = PadicPoly(5, (Fraction(-6, 7), 0, 1))
+    assert enumerate_roots(f, 6).roots == _scan(f.coeffs, 5, 6)
+    assert calls == [5**6] * 3  # the parent reduced each at all 6 levels
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_a_constant_p_squared_has_every_residue_as_a_root_below_p_cubed(p):
+    f = PadicPoly(p, (p * p,))
+    for k in (1, 2):
+        assert enumerate_roots(f, k).roots == tuple(range(p**k))
+    assert enumerate_roots(f, 3).roots == ()
