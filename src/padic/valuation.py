@@ -113,7 +113,10 @@ class ExtVal:
 
     def norm_fraction(self, p) -> Fraction:
         """The norm ``p**(-v)`` encoded by this value, as an exact rational."""
-        p = check_prime(p)
+        return self._norm(check_prime(p))
+
+    def _norm(self, p: int) -> Fraction:
+        """:meth:`norm_fraction` for a prime ``p`` its caller has checked."""
         if self.low == math.inf:
             return Fraction(0)
         if self.low == self.high:
@@ -206,12 +209,17 @@ def padic_norm_rat(p, q) -> Fraction:
     >>> padic_norm_rat(2, Fraction(3, 8))
     Fraction(8, 1)
     """
-    return ext_val_rat(p, q).norm_fraction(p)
+    p = check_prime(p)
+    return _ext_val_rat(p, q)._norm(p)
 
 
 def ext_val_rat(p, q) -> ExtVal:
     """Extended-value wrapper: ``exact_zero()`` at 0, ``finite(nu_p(q))`` otherwise."""
-    p = check_prime(p)
+    return _ext_val_rat(check_prime(p), q)
+
+
+def _ext_val_rat(p: int, q) -> ExtVal:
+    """:func:`ext_val_rat` for a prime ``p`` its caller has checked."""
     q = Fraction(q)
     if q == 0:
         return ExtVal.exact_zero()

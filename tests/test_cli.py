@@ -77,7 +77,7 @@ def test_norm_json(capsys):
 
 def test_norm_checks_its_prime_fewer_times(capsys, monkeypatch):
     # one norm once checked p four times: in main, ext_val_rat,
-    # padic_val_rat and norm_fraction
+    # padic_val_rat and norm_fraction; now main and ext_val_rat only
     calls = []
 
     def counting(p):
@@ -89,7 +89,7 @@ def test_norm_checks_its_prime_fewer_times(capsys, monkeypatch):
     monkeypatch.setattr(cli, "check_prime", counting)
     code, out, _ = run_cli(capsys, "norm", "-p", "5", "3/25")
     assert code == 0 and out == "5^2 = 25\n"
-    assert calls == [5] * 3
+    assert calls == [5] * 2
 
 
 def test_digits_minus_one(capsys):

@@ -129,6 +129,35 @@ def test_digits_examples():
         PadicNumber.zero_at_least(5, 4).digits()
 
 
+def test_digits_trust_the_checked_prime_and_the_public_constructor_does_not(monkeypatch):
+    # digits() once re-ran check_prime and a min/max scan of every digit
+    x = PadicNumber.from_rational(2, Fraction(-5, 3), 256)
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return check_prime(p)
+
+    monkeypatch.setattr(number, "check_prime", counting)
+    expansion = x.digits()
+    assert calls == []
+    public = DigitExpansion(2, 0, expansion.digits)
+    assert calls == [2]
+    assert expansion == public and hash(expansion) == hash(public)
+    assert repr(expansion) == repr(public) and str(expansion) == str(public)
+    assert type(expansion.p) is int and expansion.to_number() == x
+    for bad, error in (
+        ((4, 0, (1,)), NotPrime),
+        ((5, 0, ()), ValueError),
+        ((5, 0, (1, 5)), ValueError),
+        ((5, 0, (1, -1)), ValueError),
+        ((5, 0, (0, 1)), ValueError),
+    ):
+        with pytest.raises(error):
+            DigitExpansion(*bad)
+    assert calls[-5:] == [4, 5, 5, 5, 5]  # each public construction checks p
+
+
 @given(primes, nonzero_rationals(), st.integers(1, 30))
 def test_digit_round_trip(p, q, n):
     x = PadicNumber.from_rational(p, q, n)

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import padic.oracle
 from conftest import time_limit
@@ -15,6 +17,7 @@ from padic import (
     enumerate_roots,
     parse_poly,
 )
+from padic.polynomial import MAX_DEGREE
 
 
 def test_enumerate_sqrt6():
@@ -205,26 +208,38 @@ def test_wide_frontiers_keep_exactly_the_roots_in_order():
     assert enumerate_roots(f, 22).roots == tuple(range(a % 2**11, 2**22, 2**11))
 
 
-class _CountingNumpy:
-    """numpy, counting the attributes the tree reads off it."""
+def _count_nodes(monkeypatch):
+    """The (r, j) of every ball the tree expands, in order."""
+    nodes = []
 
-    def __init__(self, np):
-        self.np, self.reads = np, collections.Counter()
+    def counting(coeffs, p, k, modulus, r, j):
+        nodes.append((r, j))
+        return split(coeffs, p, k, modulus, r, j)
 
-    def __getattr__(self, name):
-        self.reads[name] += 1
-        return getattr(self.np, name)
+    split = padic.oracle._split
+    monkeypatch.setattr(padic.oracle, "_split", counting)
+    return nodes
 
 
 def test_a_root_free_tree_stops_at_its_first_empty_level(monkeypatch):
     # x^2 + x + 1 is 1 at both residues mod 2; the tree once ran all k
     # levels, and raised OverflowError once 2**j no longer fit in int64
-    counting = _CountingNumpy(padic.oracle.np)
-    monkeypatch.setattr(padic.oracle, "np", counting)
+    nodes = _count_nodes(monkeypatch)
     with time_limit(5):
-        level = padic.oracle._root_tree(PadicPoly(2, (1, 1, 1)), 200)
-    assert level.tolist() == []
-    assert counting.reads["add"] == 1  # one level's children, np.add.outer
+        balls = padic.oracle._root_tree(PadicPoly(2, (1, 1, 1)), 200)
+    assert balls == []
+    assert nodes == [(0, 0)]  # the whole of Z_2, and no child
+
+
+def test_a_double_root_collapses_into_one_ball(monkeypatch):
+    # (x - a)^2 vanishes mod 2^22 on all of a + 2^11 Z: one ball, reached
+    # digit by digit, where a tree of single residues held 2048 nodes
+    a = 1234567
+    nodes = _count_nodes(monkeypatch)
+    f = PadicPoly(2, (Fraction(a * a), Fraction(-2 * a), Fraction(1)))
+    assert enumerate_roots(f, 22).roots == tuple(range(a % 2**11, 2**22, 2**11))
+    assert len(nodes) <= 22
+    assert padic.oracle._root_tree(f, 22) == [(a % 2**11, 11)]
 
 
 def test_each_coefficient_is_reduced_once(monkeypatch):
@@ -247,3 +262,120 @@ def test_a_constant_p_squared_has_every_residue_as_a_root_below_p_cubed(p):
     for k in (1, 2):
         assert enumerate_roots(f, k).roots == tuple(range(p**k))
     assert enumerate_roots(f, 3).roots == ()
+
+
+@st.composite
+def _small_domain_polys(draw):
+    """(p, k, coefficients) with p**k <= 20,000, rich in repeated roots.
+
+    A product of small factors, some repeated, times a power of p and at
+    times x^p - x, so the degree reaches p and every residue mod p can be
+    a root; or a constant, the zero polynomial, or a dense f, each with
+    unit denominators.
+    """
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    k = draw(st.integers(1, max(k for k in range(1, 15) if p**k <= 20_000)))
+    m = p**k
+    unit = st.integers(1, 4 * p).filter(lambda d: d % p)
+    coeff = st.builds(Fraction, st.integers(-m, m), unit)
+    shape = draw(st.sampled_from(("product", "product", "dense", "constant", "zero")))
+    if shape == "zero":
+        return p, k, []
+    if shape == "constant":
+        return p, k, [draw(coeff) * p ** draw(st.integers(0, k + 1))]
+    if shape == "dense":
+        return p, k, draw(st.lists(coeff, min_size=2, max_size=8))
+    f = [Fraction(p ** draw(st.integers(0, k)))]
+    if draw(st.booleans()):
+        f = _poly_mul(f, [Fraction(0), Fraction(-1)] + [Fraction(0)] * (p - 2) + [Fraction(1)])
+    for _ in range(draw(st.integers(0, 3))):
+        factor = draw(st.lists(coeff, min_size=2, max_size=3))
+        for _ in range(draw(st.integers(1, 3))):
+            f = _poly_mul(f, factor)
+    return p, k, f
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_domain_polys())
+def test_tree_agrees_with_a_scan_on_repeated_roots(case):
+    p, k, coeffs = case
+    assert enumerate_roots(PadicPoly(p, coeffs), k).roots == _scan(coeffs, p, k)
+
+
+def _horner(coeffs, x, m):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+@pytest.mark.parametrize("p", [257, 1009, 10007])
+def test_a_large_prime_splits_its_roots_off_by_gcds(p):
+    # a node's roots mod a large p come from gcd(g, t^p - t), not a scan
+    rng = random.Random(p)
+    for _ in range(6):
+        f = [Fraction(rng.randrange(p), rng.randrange(1, p))]
+        for _ in range(rng.randint(1, 4)):
+            factor = [Fraction(rng.randrange(p)), Fraction(1)]
+            f = _poly_mul(f, factor)
+            if rng.random() < 0.3:
+                f = _poly_mul(f, factor)
+        f = _poly_mul(f, [Fraction(rng.randrange(p)) for _ in range(3)] + [Fraction(1)])
+        assert enumerate_roots(PadicPoly(p, f), 1).roots == _scan(f, p, 1)
+
+
+def test_a_prime_near_the_domain_limit_costs_no_scan():
+    # roots mod 9999991 exactly at a, b: n is not a square (Euler's criterion)
+    p, a, b, n = 9_999_991, 123_456, 7_654_321, 3
+    assert pow(n, (p - 1) // 2, p) == p - 1
+    f = [Fraction(1)]
+    for factor in ([-a, 1], [-b, 1], [-b, 1], [-n, 0, 1]):
+        f = _poly_mul(f, [Fraction(c) for c in factor])
+    with time_limit(2):
+        assert enumerate_roots(PadicPoly(p, f), 1).roots == (a, b)
+
+
+def test_a_large_prime_and_a_high_degree_stay_within_the_gcd_bound():
+    # degree 301 at p = 9999991 goes to the gcd, about deg^2 log2(p) steps;
+    # a scan would try 10^7 residues.  The shifted x^2 - n have no roots
+    # mod p, so the roots are exactly a and b.
+    p, a, b = 9_999_991, 123_456, 7_654_321
+    rng = random.Random(p)
+    f = [Fraction(c) for c in (-a, 1)]
+    f = _poly_mul(_poly_mul(f, [Fraction(-b), Fraction(1)]), [Fraction(-b), Fraction(1)])
+    while len(f) < 302:
+        c, n = rng.randrange(p), rng.randrange(2, p)
+        if pow(n, (p - 1) // 2, p) == p - 1:
+            f = _poly_mul(f, [Fraction(c * c - n), Fraction(-2 * c), Fraction(1)])
+    assert not padic.oracle._scans(p, len(f) - 1)
+    with time_limit(5):
+        assert enumerate_roots(PadicPoly(p, f), 1).roots == (a, b)
+
+
+@pytest.mark.parametrize("p", [191, 257, 1009])
+def test_the_scan_and_the_gcd_find_the_same_roots_mod_p(p):
+    # the two ways _roots_mod_p can go, on both sides of where it switches
+    rng = random.Random(p)
+    for degree in (2, 3, 10, 40, 100):
+        for _ in range(3):
+            g = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+            scanned = padic.oracle._scan_roots_mod_p(g, p)
+            assert sorted(padic.oracle._gcd_roots_mod_p(g, p)) == scanned
+            assert sorted(padic.oracle._roots_mod_p(g, p)) == scanned
+
+
+def test_a_polynomial_of_the_largest_degree_finishes_in_bounded_time():
+    # Taylor terms with i*j >= k vanish mod p^k, so a node of depth j
+    # needs at most k/j synthetic divisions of the degree-10,000 f
+    rng = random.Random(10_000)
+    h = [Fraction(rng.randrange(2**20)) for _ in range(MAX_DEGREE - 1)] + [Fraction(1)]
+    for f in (
+        _poly_mul([Fraction(-12345), Fraction(1)], h),
+        [Fraction(0), Fraction(0), Fraction(-1)] + [Fraction(0)] * (MAX_DEGREE - 3) + [Fraction(1)],
+    ):
+        assert len(f) == MAX_DEGREE + 1
+        with time_limit(5):
+            roots = enumerate_roots(PadicPoly(2, f), 20).roots
+        assert roots
+        cs = [int(c) for c in f]
+        assert all(_horner(cs, r, 2**20) == 0 for r in roots)

@@ -19,6 +19,7 @@ from padic import (
     padic_val_int,
     padic_val_rat,
 )
+from padic import valuation
 from padic.valuation import check_prime
 
 
@@ -114,6 +115,23 @@ def test_norm_of_each_form_is_its_ext_val():
 @given(primes, rationals())
 def test_norm_rat_is_the_norm_of_its_ext_val(p, q):
     assert padic_norm_rat(p, q) == ext_val_rat(p, q).norm_fraction(p)
+
+
+def test_a_norm_checks_its_prime_once_and_norm_fraction_still_checks(monkeypatch):
+    # padic_norm_rat once checked p twice: in ext_val_rat and norm_fraction
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return check_prime(p)
+
+    monkeypatch.setattr(valuation, "check_prime", counting)
+    assert padic_norm_rat(5.0, Fraction(3, 25)) == 25
+    assert calls == [5.0]
+    assert ExtVal.finite(1).norm_fraction("5") == Fraction(1, 5)
+    assert calls == [5.0, "5"]
+    with pytest.raises(NotPrime):
+        ExtVal.finite(1).norm_fraction(9)
 
 
 def test_norm_rat_at_zero():
