@@ -52,8 +52,6 @@ n modulo ``p**(v_n + 1)`` (capped at k), ``f'`` at the root modulo
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,7 +64,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .number import _horner, rational_residue
-from .polynomial import PadicPoly
+from .polynomial import MAX_MODULUS_BITS, PadicPoly
 from .valuation import _val_int, padic_val_int
 
 MAX_STEPS = 64
@@ -141,18 +139,18 @@ def check_hypothesis(f: PadicPoly, a) -> Hypothesis:
     Raises :class:`DerivativeVanishes` when f'(a) = 0 (the hypothesis
     |f(a)| < |f'(a)|**2 is then unsatisfiable) and
     :class:`HypothesisFailed` when nu(f(a)) <= 2*nu(f'(a)).  e and m are
-    read by :func:`_exponents` in integers, from the :func:`_cleared`
+    read by :func:`_exponents` in integers, from f's cleared integer
     coefficients and the seed's numerator and denominator, as
     :func:`verify_certificate` reads them; the lcm of f's denominators and
     the seed's denominator are p-adic units, so they are the valuations
     of f and f' at the seed.
     """
-    return _hypothesis(f, Fraction(a), *_cleared(f))
+    return _hypothesis(f, Fraction(a), *f._cleared)
 
 
 def _hypothesis(f: PadicPoly, a: Fraction, ints: tuple[int, ...],
                 dints: tuple[int, ...]) -> Hypothesis:
-    """:func:`check_hypothesis` on f's :func:`_cleared` coefficients."""
+    """:func:`check_hypothesis` on f's cleared integer coefficients."""
     p = f.p
     if f.degree < 1:
         raise ValueError("polynomial must be nonconstant")
@@ -175,7 +173,7 @@ def _val(p: int, x: int) -> int | None:
 
 def _exponents(p: int, ints: tuple[int, ...], dints: tuple[int, ...],
                a: Fraction | int) -> tuple[int | None, int | None]:
-    """(e, m) = (nu(f'(a)), nu(f(a))) from the :func:`_cleared` coefficients.
+    """(e, m) = (nu(f'(a)), nu(f(a))) from the cleared integer coefficients.
 
     For a = n/d and coefficients c_0 .. c_D, the integer
     sum(c_i * n**i * d**(D - i)) is d**D times the polynomial at a, and d
@@ -217,7 +215,7 @@ def _measure(p: int, ints: tuple[int, ...], dints: tuple[int, ...], x: int,
              e: int, floor: int = 0) -> tuple[int | None, int, int | None]:
     """(nu(f(x)), its unit part, f'(x)/p**e) at an integer x.
 
-    f and f' are the :func:`_cleared` ``ints`` and ``dints``.  The first two
+    f and f' are the cleared integer ``ints`` and ``dints``.  The first two
     are :func:`_split` of f(x) from ``floor``.  The last is None unless
     nu(f'(x)) = e, which f'(x) mod p**(e + 1) decides.
     """
@@ -290,15 +288,14 @@ def _value_mod(coeffs: tuple[int, ...], x: int, modulus: int) -> int:
     return acc % modulus
 
 
-def _cleared(f: PadicPoly) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Integer coefficients of d*f and of its derivative, d the lcm of f's denominators.
+def _fits(p: int, k: int) -> bool:
+    """Whether p**k <= 2**MAX_MODULUS_BITS, decided without building p**k."""
+    return k <= MAX_MODULUS_BITS / math.log2(p)
 
-    d is a p-adic unit, so d*f has the valuations and the Newton quotient
-    f/f' of f, and Horner evaluates it in integers rather than Fractions.
-    """
-    d = math.lcm(*(c.denominator for c in f.coeffs))
-    ints = tuple(c.numerator * (d // c.denominator) for c in f.coeffs)
-    return ints, tuple(i * c for i, c in enumerate(ints) if i)
+
+def _require_fit(p: int, k: int):
+    if not _fits(p, k):
+        raise ValueError(f"{p}^{k} exceeds the modulus bound 2^{MAX_MODULUS_BITS}")
 
 
 def _require_room(k: int, e: int):
@@ -330,12 +327,14 @@ def newton_step(f: PadicPoly, a_n: int, hyp: Hypothesis, k: int) -> int:
     """One Newton update a_n - f(a_n)/f'(a_n), reduced modulo p**k.
 
     Requires nu(f(a_n)) >= e + 1 so the quotient is an integer.  When
-    a_n is already a root modulo p**k the step is the identity.
+    a_n is already a root modulo p**k the step is the identity.  A p**k
+    above ``2**MAX_MODULUS_BITS`` raises :class:`ValueError`.
     """
     p, e = f.p, hyp.e
+    _require_fit(p, k)
     _require_room(k, e)
     a_n %= p**k
-    val_f, u, h = _measure(p, *_cleared(f), a_n, e)
+    val_f, u, h = _measure(p, *f._cleared, a_n, e)
     if val_f is None or val_f >= k:
         return a_n
     if val_f < e + 1:
@@ -354,12 +353,14 @@ def lift(f: PadicPoly, a, k: int) -> HenselCertificate:
     an approximate zero; each state goes into the trace.  When f(a) = 0
     exactly the seed itself is returned with an empty trace.  The
     returned certificate has been re-checked by :func:`verify_certificate`.
+    A p**k above ``2**MAX_MODULUS_BITS`` raises :class:`ValueError`.
     """
     p = f.p
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
+    _require_fit(p, k)
     a = Fraction(a)
-    ints, dints = _cleared(f)
+    ints, dints = f._cleared
     hyp = _hypothesis(f, a, ints, dints)
     mod_k = p**k
     trace: list[LiftStep] = []
@@ -395,7 +396,9 @@ def lift(f: PadicPoly, a, k: int) -> HenselCertificate:
             raise InternalBoundViolation(f"no convergence within {MAX_STEPS} steps")
 
     cert = HenselCertificate(p, f, a, k, hyp, tuple(trace), root, False)
-    return dataclasses.replace(cert, checks_passed=bool(verify_certificate(cert)))
+    # verify reads every field but this flag, so the one certificate takes its verdict
+    object.__setattr__(cert, "checks_passed", bool(verify_certificate(cert)))
+    return cert
 
 
 def verify_certificate(cert: HenselCertificate) -> VerificationResult:
@@ -405,12 +408,13 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
     cleared integer coefficients of d*f and d*f' (d a p-adic unit, so the
     valuations are those of f and f').  Everything else it checks reads
     only valuations visible below ``k``, and a valuation claim v is
-    decided by the residue modulo p**c for c = min(v + 1, k), clamped to
-    at least 1.  So it evaluates by integer Horner, on the cleared
-    coefficients reduced to each modulus, f at trace step n modulo
-    p**c for that step's claimed nu(f(a_n)), f' at the root modulo
-    p**min(e + 1, k) and f at the root modulo p**k; a point met twice at
-    one modulus (the last step is the root) is evaluated once.  It
+    decided by one residue test modulo p**c for c = min(v + 1, k): the
+    residue is 0 when v >= k, and otherwise nonzero and divisible by
+    p**v; a negative v never holds.  So it evaluates by integer Horner,
+    on the cleared coefficients reduced to each modulus, f at trace step
+    n modulo p**c for that step's claimed nu(f(a_n)), f' at the root
+    modulo p**min(e + 1, k) and f at the root modulo p**k; a point met
+    twice at one modulus (the last step is the root) is evaluated once.  It
     checks the induction bound, the quadratic growth of residual
     valuations, the distance law between consecutive iterates, and the
     step-count bound.  Returns a falsy result carrying the labels of all
@@ -418,8 +422,9 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
 
     Before any check runs, a certificate of the wrong shape is rejected
     with the single label ``malformed``: a field of the wrong type, f
-    over a prime other than p, ``k < 1``, ``e < 0``, a not p-integral,
-    or ``t < 1`` (or missing) while m is finite.
+    over a prime other than p, ``k < 1``, p**k above
+    ``2**MAX_MODULUS_BITS``, ``e < 0``, a not p-integral, or ``t < 1`` (or
+    missing) while m is finite.
 
     Each label names the part of the strong Hensel lemma that the record
     fails to support.  From ``|f(a)| < |f'(a)|**2`` the lemma concludes
@@ -445,7 +450,7 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
     e = hyp.e
     mod_k = p**k
 
-    ints, dints = _cleared(f)
+    ints, dints = f._cleared
     e_true, m_true = _exponents(p, ints, dints, cert.a)
     if e_true != e:
         fails.append("hypothesis_e")
@@ -456,22 +461,23 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
     if not hyp.degenerate and hyp.t != hyp.m - 2 * e:
         fails.append("hypothesis_strength")
 
-    value = functools.cache(_value_mod)  # once per reduced x and modulus
+    memo: dict[tuple[bool, int, int], int] = {}  # (f, not f'; point; modulus) -> residue
 
     def shows(coeffs: tuple[int, ...], x: int, v: int | None) -> bool:
-        """Whether coeffs' polynomial at x, mod p**k, witnesses nu = v capped at k.
-
-        Only the residue mod p**c decides it, for c = min(v + 1, k) clamped
-        to at least 1: v < 0 never holds, and v < k holds when the residue
-        is nonzero with nu = v.  So x is evaluated at that modulus alone.
-        """
+        """Whether coeffs' polynomial at x, mod p**k, witnesses nu = v capped at k."""
         want = _visible(v, k)
-        modulus = p ** min(max(want + 1, 1), k)
-        r = value(coeffs, x % modulus, modulus)
-        return _visible(_split(p, r, max(want, 0))[0], k) == want
+        if want < 0:
+            return False
+        modulus = p ** min(want + 1, k)
+        x %= modulus
+        key = (coeffs is ints, x, modulus)
+        if key not in memo:
+            memo[key] = _value_mod(coeffs, x, modulus)
+        r = memo[key]
+        return not r if want == k else r > 0 and not r % p**want
 
     seed_res = rational_residue(cert.a, mod_k)
-    if value(ints, cert.root % mod_k, mod_k) != 0:
+    if not shows(ints, cert.root, None):
         fails.append("root_residue")
     if (cert.root - seed_res) % p ** min(e + 1, k) != 0:
         fails.append("root_near_seed")
@@ -537,22 +543,21 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
 
 def _well_formed(cert: HenselCertificate) -> bool:
     """Whether the fields have the shape :func:`verify_certificate` assumes."""
-    hyp, trace = cert.hypothesis, cert.trace
+    hyp, trace, p, k = cert.hypothesis, cert.trace, cert.p, cert.k
     if not (isinstance(hyp, Hypothesis) and isinstance(trace, (tuple, list))
-            and all(isinstance(s, LiftStep) for s in trace)):
+            and isinstance(p, int) and isinstance(cert.f, PadicPoly) and cert.f.p == p
+            and isinstance(k, int) and k >= 1 and _fits(p, k) and isinstance(cert.root, int)
+            and isinstance(hyp.e, int) and hyp.e >= 0
+            and (hyp.m is None or isinstance(hyp.m, int) and isinstance(hyp.t, int)
+                 and hyp.t >= 1)
+            and isinstance(cert.a, (int, Fraction)) and cert.a.denominator % p):
         return False
-    ints = [cert.p, cert.k, cert.root, hyp.e, *(s.n for s in trace),
-            *(s.residue for s in trace)]
-    ints_or_none = [hyp.m, *(s.val_f for s in trace)]
-    return (
-        all(isinstance(x, int) for x in ints)
-        and all(x is None or isinstance(x, int) for x in ints_or_none)
-        and isinstance(cert.f, PadicPoly) and cert.f.p == cert.p
-        and isinstance(cert.a, (int, Fraction))
-        and Fraction(cert.a).denominator % cert.p != 0
-        and cert.k >= 1 and hyp.e >= 0
-        and (hyp.m is None or isinstance(hyp.t, int) and hyp.t >= 1)
-    )
+    for s in trace:
+        if not (isinstance(s, LiftStep) and isinstance(s.n, int)
+                and isinstance(s.residue, int)
+                and (s.val_f is None or isinstance(s.val_f, int))):
+            return False
+    return True
 
 
 def unique_in_neighborhood(f: PadicPoly, cert: HenselCertificate, z2: int) -> bool:
@@ -568,7 +573,7 @@ def unique_in_neighborhood(f: PadicPoly, cert: HenselCertificate, z2: int) -> bo
     p, k = cert.p, cert.k
     mod_k = p**k
     z2 = z2 % mod_k
-    # f's own residues rather than _cleared(f): f may be over another
+    # f's own residues rather than f._cleared: f may be over another
     # prime, whose cleared denominators need not be units mod p
     if _value_mod([rational_residue(c, mod_k) for c in f.coeffs], z2, mod_k) != 0:
         raise ValueError(f"{z2} is not a root of f modulo {p}^{k}")
@@ -595,9 +600,14 @@ def certificate_to_record(cert: HenselCertificate) -> dict:
 
 
 def certificate_from_record(record: dict) -> HenselCertificate:
-    """Inverse of :func:`certificate_to_record`."""
+    """Inverse of :func:`certificate_to_record`.
+
+    A ``K`` whose p**K is above ``2**MAX_MODULUS_BITS`` raises
+    :class:`ValueError` before p**K is built.
+    """
     f = PadicPoly(record["p"], tuple(Fraction(c) for c in record["f"]))
     p, k = f.p, int(record["K"])
+    _require_fit(p, k)
     a = Fraction(record["a"])
     e = int(record["e"])
     m = record["m"]

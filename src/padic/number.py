@@ -147,13 +147,17 @@ def _horner(coeffs, x, acc):
 
 
 def rational_residue(q, modulus: int) -> int:
-    """The residue of a rational with invertible denominator mod ``modulus``."""
-    q = Fraction(q)
-    if math.gcd(q.denominator, modulus) != 1:
-        raise ValueError(
-            f"denominator {q.denominator} is not invertible modulo {modulus}"
-        )
-    return q.numerator * pow(q.denominator, -1, modulus) % modulus
+    """The residue of a rational with invertible denominator mod ``modulus``.
+
+    An int or a Fraction is read as it is; anything else goes through
+    ``Fraction`` first.
+    """
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
+    d = q.denominator
+    if math.gcd(d, modulus) != 1:
+        raise ValueError(f"denominator {d} is not invertible modulo {modulus}")
+    return q.numerator * pow(d, -1, modulus) % modulus
 
 
 @dataclass(frozen=True, init=False)

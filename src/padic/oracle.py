@@ -64,13 +64,11 @@ class OracleReport:
 def _roots_mod_p(g: list[int], p: int) -> list[int]:
     """The roots in [0, p) of g mod p, coefficients low first, leading one a unit.
 
-    A unit slope is solved at once.  Otherwise ``_scans`` picks the one
-    measured to be cheaper of a scan of every residue, at O(p deg), and a
-    split of gcd(g, t**p - t), at about O(deg**2 log p), so k = 1 with p
-    near ``DOMAIN_LIMIT`` costs no scan of p residues.
+    ``_scans`` picks the one measured to be cheaper of a scan of every
+    residue, at O(p deg), and a split of gcd(g, t**p - t), at about
+    O(deg**2 log p), so k = 1 with p near ``DOMAIN_LIMIT`` costs no scan
+    of p residues.  ``_split`` solves a line itself.
     """
-    if len(g) == 2:
-        return [-g[0] * pow(g[1], -1, p) % p]
     return (_scan_roots_mod_p if _scans(p, len(g) - 1) else _gcd_roots_mod_p)(g, p)
 
 
@@ -168,9 +166,11 @@ def _split(coeffs: list[int], p: int, k: int, modulus: int, r: int, j: int):
     synthetic division, and a simple root needs two.  At j = 0, r = 0 and
     the T_i are the residues themselves.  If s >= k, the ball is all
     roots.  Otherwise a root t needs f(r + p**j t) / p**s = 0 mod p, and
-    that reduction keeps only the terms of valuation s.
+    that reduction g keeps only the terms of valuation s, low first.  A
+    nonzero constant g has no root, a line (c*t, whose root is 0, or two
+    terms) is solved in place, and degree 2 and up goes to ``_roots_mod_p``.
     """
-    bound, s, reduced = k - 1, k, {}
+    bound, s, g = k - 1, k, []
     for i in range(len(coeffs)):
         w = i * j
         if w > bound:
@@ -192,11 +192,13 @@ def _split(coeffs: list[int], p: int, k: int, modulus: int, r: int, j: int):
         if w <= bound:
             if w < s:
                 s = bound = w
-                reduced = {}
-            reduced[i] = t % p
+                g = []
+            g += [0] * (i - len(g))
+            g.append(t % p)
     if s == k:
         return None
-    g = [reduced.get(i, 0) for i in range(max(reduced) + 1)]
+    if len(g) == 2:
+        return [-g[0] * pow(g[1], -1, p) % p]
     return _roots_mod_p(g, p) if len(g) > 1 else []
 
 
@@ -220,7 +222,8 @@ def _root_tree(f: PadicPoly, k: int) -> list[tuple[int, int]]:
             balls.append((r, j))
         else:
             pj = p**j
-            stack.extend((r + t * pj, j + 1) for t in digits)
+            for t in digits:
+                stack.append((r + t * pj, j + 1))
     return balls
 
 

@@ -11,6 +11,7 @@ integer numerators left once the denominators are cleared.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -49,6 +50,21 @@ class PadicPoly:
                     f"coefficient {c} of x^{i} is not a {self.p}-adic integer"
                 )
         object.__setattr__(self, "coeffs", tuple(coeffs))
+
+    def __reduce__(self):  # pickle the fields alone, not the cache below
+        return PadicPoly, (self.p, self.coeffs)
+
+    @functools.cached_property
+    def _cleared(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Integer coefficients of d*f and of its derivative, d the lcm of the denominators.
+
+        d is a p-adic unit, so d*f has the valuations and the Newton
+        quotient f/f' of f, and :mod:`padic.hensel` evaluates it by integer
+        Horner rather than in Fractions.  Computed once per polynomial and
+        kept outside the fields, so ``==``, ``hash``, ``repr``,
+        ``dataclasses.replace`` and pickling never see it.
+        """
+        return _clear_denominators(self.coeffs)
 
     @property
     def degree(self) -> int:
@@ -129,6 +145,12 @@ class PadicPoly:
         return text
 
 
+def _clear_denominators(coeffs) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    d = math.lcm(*(c.denominator for c in coeffs))
+    ints = tuple(c.numerator * (d // c.denominator) for c in coeffs)
+    return ints, tuple(i * c for i, c in enumerate(ints) if i)
+
+
 def _working_precision(*points: PadicNumber) -> int:
     precs = [x.prec for x in points if x.form is Form.UNIT]
     return min(precs) if precs else DEFAULT_PRECISION
@@ -202,6 +224,10 @@ def _powers(x: PadicNumber, top: int, p: int, wp: int) -> list[PadicNumber]:
 # parse_poly builds one dense coefficient per degree up to the largest
 # exponent, so bounding the exponent bounds its time and memory
 MAX_DEGREE = 10_000
+# the lifter, its records and verify_certificate work modulo p**k, so they
+# refuse a p**k above 2**MAX_MODULUS_BITS before building it; k = 64000 at
+# p = 5, 148,604 bits, stays within it
+MAX_MODULUS_BITS = 200_000
 
 _TERM_RE = re.compile(r"(?:(\d+(?:/\d+)?)\*?)?(x(?:\^(\d+))?)?")
 

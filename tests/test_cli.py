@@ -360,3 +360,12 @@ def test_results_past_the_int_str_limit_print(capsys):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "") and out.startswith("p: 101\nform: unit\n")
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_lift_refuses_a_modulus_past_the_bound(capsys):
+    # 5^86136 is the least power of 5 above 2^MAX_MODULUS_BITS
+    with time_limit(5):
+        code, out, err = run_cli(
+            capsys, "lift", "-p", "5", "-K", "86136", "--poly", "x^2 - 6", "--seed", "1"
+        )
+    assert code == 2 and out == "" and "exceeds the modulus bound" in err

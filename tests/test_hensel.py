@@ -32,9 +32,10 @@ from padic import (
     unique_in_neighborhood,
     verify_certificate,
 )
-from padic import hensel
+from padic import hensel, polynomial
 from padic.hensel import _unit_inverse, _value_mod
 from padic.number import _horner
+from padic.polynomial import MAX_MODULUS_BITS
 
 F = Fraction
 
@@ -804,9 +805,9 @@ def test_exponents_are_the_valuations_of_f_and_its_derivative_at_the_seed(case):
     # f(a) and f'(a) in Fractions, sharing no evaluation code with hensel
     value = sum(c * a**i for i, c in enumerate(f.coeffs))
     slope = sum(i * c * a ** (i - 1) for i, c in enumerate(f.coeffs) if i)
-    assert hensel._exponents(p, *hensel._cleared(f), a) == (nu(slope), nu(value))
+    assert hensel._exponents(p, *f._cleared, a) == (nu(slope), nu(value))
     if a.denominator == 1:
-        assert hensel._exponents(p, *hensel._cleared(f), a.numerator) == (nu(slope), nu(value))
+        assert hensel._exponents(p, *f._cleared, a.numerator) == (nu(slope), nu(value))
 
 
 @pytest.mark.parametrize("poly, seed, error, message", [
@@ -822,3 +823,50 @@ def test_hypothesis_errors_read_as_before(poly, seed, error, message):
         with pytest.raises(error) as info:
             call()
         assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("poly, p, k", [("x^2 - 6", 5, 86136), ("x^2 - 17", 2, MAX_MODULUS_BITS + 1)])
+def test_a_modulus_just_past_the_bound_is_refused(poly, p, k):
+    # k is the least exponent whose p**k is above 2**MAX_MODULUS_BITS; a
+    # record with K = 10**8 once kept certificate_from_record and verify
+    # building p**K for longer than 20 s
+    assert p ** (k - 1) <= 2**MAX_MODULUS_BITS < p**k
+    f = parse_poly(poly, p)
+    cert = lift(f, 1, 8)
+    with time_limit(5):
+        with pytest.raises(ValueError, match="exceeds the modulus bound"):
+            lift(f, 1, k)
+        with pytest.raises(ValueError, match="exceeds the modulus bound"):
+            newton_step(f, 1, cert.hypothesis, k)
+        with pytest.raises(ValueError, match="exceeds the modulus bound"):
+            certificate_from_record({**certificate_to_record(cert), "K": k})
+        result = verify_certificate(dataclasses.replace(cert, k=k))
+    assert not result and result.failures == ("malformed",)
+
+
+def test_the_largest_baseline_row_stays_within_the_modulus_bound():
+    # sqrt(6) in Z_5 at k = 64000 is the largest row of the lift baseline
+    record = certificate_to_record(lift(parse_poly("x^2 - 6", 5), 1, 8))
+    with time_limit(5):
+        result = verify_certificate(certificate_from_record({**record, "K": 64000}))
+    assert "malformed" not in result.failures
+
+
+def test_the_cleared_coefficients_are_computed_once_per_polynomial(monkeypatch):
+    computed = []
+
+    def counting(coeffs):
+        computed.append(coeffs)
+        return clear(coeffs)
+
+    clear = polynomial._clear_denominators
+    monkeypatch.setattr(polynomial, "_clear_denominators", counting)
+    f = parse_poly("1/7*x^2 - 6/7", 5)
+    check_hypothesis(f, 1)
+    cert = lift(f, 1, 12)  # which runs its own verify_certificate
+    assert cert.checks_passed and verify_certificate(cert)
+    assert computed == [f.coeffs]
+    assert f._cleared == ((-6, 0, 1), (0, 2))
+    # an equal polynomial built anew computes its own, once
+    g = dataclasses.replace(f)
+    assert lift(g, 1, 12) == cert and computed == [f.coeffs, f.coeffs]

@@ -379,3 +379,53 @@ def test_a_polynomial_of_the_largest_degree_finishes_in_bounded_time():
         assert roots
         cs = [int(c) for c in f]
         assert all(_horner(cs, r, 2**20) == 0 for r in roots)
+
+
+def _plain_split(coeffs, p, k, r, j):
+    """What one node of the tree must return, by a plain scan of its ball.
+
+    s is the least valuation of f mod p**k over r + p**j Z; None when it
+    reaches k, and otherwise the digits t with p**(s + 1) dividing
+    f(r + p**j t).  This is ``_split``'s answer whenever its reduced
+    polynomial has degree below p, so it vanishes at some digit.
+    """
+    m = p**k
+
+    def value(x):
+        return sum(c * x**i for i, c in enumerate(coeffs)) % m
+
+    s = min(_nu(value(r + p**j * y), p) if value(r + p**j * y) else k
+            for y in range(p ** (k - j)))
+    if s >= k:
+        return None
+    return [t for t in range(p) if value(r + p**j * t) % p ** (s + 1) == 0]
+
+
+@pytest.mark.parametrize("coeffs, p, k, r, j, want, through_roots_mod_p", [
+    # a nonzero constant: f(0 + 5t) = -6 + 25t^2 reduces to 4, no child
+    ((-6, 0, 1), 5, 3, 0, 1, [], False),
+    # c*t: x + 25 at the root ball has T_0 = 25 above T_1 = 1, child 0
+    ((25, 1), 5, 3, 0, 0, [0], False),
+    # a line with both terms: f(1 + 5t) = -5 + 10t + 25t^2 reduces to 4 + 2t
+    ((-6, 0, 1), 5, 3, 1, 1, [3], False),
+    # degree 2: x^2 - 6 at the root ball reduces to t^2 + 4
+    ((-6, 0, 1), 5, 3, 0, 0, [1, 4], True),
+    # the s >= k collapse: (x - 3)^2 vanishes mod 2^6 on 3 + 2^3 Z
+    ((9, -6, 1), 2, 6, 3, 3, None, False),
+])
+def test_each_shape_of_a_reduced_node_matches_a_plain_scan(
+        monkeypatch, coeffs, p, k, r, j, want, through_roots_mod_p):
+    calls = []
+
+    def recording(g, q):
+        calls.append(list(g))
+        return roots_mod_p(g, q)
+
+    roots_mod_p = padic.oracle._roots_mod_p
+    monkeypatch.setattr(padic.oracle, "_roots_mod_p", recording)
+    m = p**k
+    residues = [c % m for c in reversed(coeffs)]  # leading one first, as the tree keeps them
+    got = padic.oracle._split(residues, p, k, m, r, j)
+    assert want == _plain_split(coeffs, p, k, r, j)
+    assert (got if got is None else sorted(got)) == want
+    assert bool(calls) == through_roots_mod_p

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -232,3 +234,17 @@ def _poly_and_point(draw):
 def test_eval_matches_horner_with_the_operators(case):
     f, x = case
     assert f.eval(x).to_record() == _eval_by_operators(f, x).to_record()
+
+
+def test_the_cleared_coefficients_stay_outside_the_fields():
+    f = PadicPoly(5, (Fraction(-6, 7), 0, Fraction(1, 7)))
+    before = (repr(f), hash(f), pickle.dumps(f))
+    assert f._cleared == ((-6, 0, 1), (0, 2))
+    assert "_cleared" in vars(f)
+    assert (repr(f), hash(f), pickle.dumps(f)) == before
+    fresh = PadicPoly(5, (Fraction(-6, 7), 0, Fraction(1, 7)))
+    assert f == fresh and hash(f) == hash(fresh)
+    for copy in (dataclasses.replace(f), pickle.loads(pickle.dumps(f))):
+        assert copy == f and "_cleared" not in vars(copy)
+        assert copy._cleared == f._cleared
+    assert [field.name for field in dataclasses.fields(f)] == ["p", "coeffs"]
