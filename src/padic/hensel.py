@@ -48,6 +48,19 @@ residue cannot witness a valuation.  :func:`verify_certificate` reads each
 residue only to the precision that decides its check: ``f`` at trace step
 n modulo ``p**(v_n + 1)`` (capped at k), ``f'`` at the root modulo
 ``p**(e + 1)`` and ``f`` at the root modulo ``p**k``.
+
+Where the time goes at large k.  A lift is then bound by three
+p**k-sized divisions: the full-size ``f(a_n)`` by ``p**floor`` in the last
+step's :func:`_split`, and ``f`` at the root modulo ``p**k`` in the verify
+that :func:`lift` runs and again in a verify of its record.  CPython 3.11
+divides by schoolbook, at about five squarings of a 26,000-bit ``p**k``,
+so a divisor of ``number._DIVMOD_BITS`` (8000) bits or more goes through
+the recursive ``number._divmod``.  Every power of p comes from
+``number._power``, the library's bounded cache, so a lift, its verify and
+a verify of its record build each ``p**n`` once.  ``f`` is evaluated
+exactly, as the trace records the exact ``v_n``; ``f'`` is read only
+modulo ``p**(e + prec)``, where ``prec = w - v_n + e`` is what the update
+reads of its unit, and modulo ``p**(e + 1)`` at the step that stops.
 """
 
 from __future__ import annotations
@@ -63,7 +76,7 @@ from .errors import (
     NotAnInteger,
     PrecisionExhausted,
 )
-from .number import _horner, rational_residue
+from .number import _DIVMOD_BITS, _divmod, _horner, _power, rational_residue
 from .polynomial import MAX_MODULUS_BITS, PadicPoly
 from .valuation import _val_int, padic_val_int
 
@@ -124,7 +137,7 @@ class HenselCertificate:
         A p**k above ``2**MAX_MODULUS_BITS`` raises :class:`ValueError`.
         """
         _require_fit(self.p, self.k)
-        mod_k = self.p**self.k
+        mod_k = _power(self.p, self.k)
         return _val(self.p, (self.root - rational_residue(self.a, mod_k)) % mod_k)
 
 
@@ -208,25 +221,25 @@ def _split(p: int, x: int, floor: int) -> tuple[int | None, int]:
     """
     if x == 0:
         return None, 0
-    q, r = divmod(x, p**floor)
+    pf = _power(p, floor)
+    q, r = divmod(x, pf) if pf.bit_length() < _DIVMOD_BITS else _divmod(x, pf)
     if r:  # the floor overshot
         q, floor = x, 0
     j = padic_val_int(p, q)
-    return floor + j, q // p**j if j else q
+    return floor + j, q // _power(p, j) if j else q
 
 
-def _measure(p: int, ints: tuple[int, ...], dints: tuple[int, ...], x: int,
-             e: int, floor: int = 0) -> tuple[int | None, int, int | None]:
-    """(nu(f(x)), its unit part, f'(x)/p**e) at an integer x.
+def _derivative_unit(p: int, dints: tuple[int, ...], x: int, e: int,
+                     prec: int) -> int | None:
+    """f'(x)/p**e modulo p**prec at an integer x, or None unless nu(f'(x)) = e.
 
-    f and f' are the cleared integer ``ints`` and ``dints``.  The first two
-    are :func:`_split` of f(x) from ``floor``.  The last is None unless
-    nu(f'(x)) = e, which f'(x) mod p**(e + 1) decides.
+    f' is the cleared integer ``dints``, read only modulo p**(e + prec):
+    a Newton step reads its unit to the precision of its inverse, and the
+    step that stops reads none of it, so there prec = 1 and the residue
+    mod p**(e + 1) decides nu(f'(x)) = e alone.
     """
-    val_f, u = _split(p, _horner(ints, x, 0), floor)
-    fpa = _horner(dints, x, 0)
-    r = fpa % p ** (e + 1)
-    return val_f, u, fpa // p**e if r and not r % p**e else None
+    h, r = divmod(_value_mod(dints, x, _power(p, e + prec)), _power(p, e))
+    return h if not r and h % p else None
 
 
 def _visible(v: int | None, k: int) -> int:
@@ -262,10 +275,8 @@ def _unit_inverse(h: int, p: int, w: int, x: int = 0, known: int = 0) -> int:
     while w > known:
         precisions.append(w)
         w = (w + 1) // 2
-    if precisions:
-        h %= p ** precisions[0]
     for w in reversed(precisions):
-        modulus = p**w
+        modulus = _power(p, w)
         x = x * (2 - h % modulus * x) % modulus
     return x
 
@@ -276,20 +287,23 @@ def _value_mod(coeffs: tuple[int, ...], x: int, modulus: int) -> int:
     A coefficient already smaller than the modulus in size is used as it
     is, since reducing a small negative one would make it full-size, and
     the accumulator is reduced only once it outgrows twice the modulus's
-    bits, so Horner multiplies short operands and divides short ones.
+    bits, so Horner multiplies short operands and divides short ones.  A
+    modulus of ``_DIVMOD_BITS`` bits or more is divided by the recursive
+    :func:`~padic.number._divmod`.
 
     >>> _value_mod((-6, 0, 1), 9, 5**4)
     75
     """
     limit = 2 * modulus.bit_length()
+    big = limit >= 2 * _DIVMOD_BITS
     acc = 0
     for c in reversed(coeffs):
         if not -modulus < c < modulus:
-            c %= modulus
+            c = _divmod(c, modulus)[1] if big else c % modulus
         acc = acc * x + c
         if acc.bit_length() > limit:
-            acc %= modulus
-    return acc % modulus
+            acc = _divmod(acc, modulus)[1] if big else acc % modulus
+    return _divmod(acc, modulus)[1] if big else acc % modulus
 
 
 def _fits(p: int, k: int) -> bool:
@@ -323,8 +337,8 @@ def _step(p: int, a: int, u: int, v: int, h: int, e: int, w: int,
     """
     prec = w - v + e
     inv = _unit_inverse(h, p, prec, inv, known)
-    modulus = p**prec
-    return (a - p ** (v - e) * (u % modulus * inv % modulus)) % p**w, inv
+    modulus = _power(p, prec)
+    return (a - _power(p, v - e) * (u % modulus * inv % modulus)) % _power(p, w), inv
 
 
 def newton_step(f: PadicPoly, a_n: int, hyp: Hypothesis, k: int) -> int:
@@ -337,12 +351,14 @@ def newton_step(f: PadicPoly, a_n: int, hyp: Hypothesis, k: int) -> int:
     p, e = f.p, hyp.e
     _require_fit(p, k)
     _require_room(k, e)
-    a_n %= p**k
-    val_f, u, h = _measure(p, *f._cleared, a_n, e)
+    a_n %= _power(p, k)
+    ints, dints = f._cleared
+    val_f, u = _split(p, _horner(ints, a_n, 0), 0)
     if val_f is None or val_f >= k:
         return a_n
     if val_f < e + 1:
         raise ValueError(f"newton step needs nu(f(a_n)) > {e}, got {val_f}")
+    h = _derivative_unit(p, dints, a_n, e, k - val_f + e)
     if h is None:
         raise ValueError("derivative valuation at a_n does not match e")
     return _step(p, a_n, u, val_f, h, e, k)[0]
@@ -366,7 +382,7 @@ def lift(f: PadicPoly, a, k: int) -> HenselCertificate:
     a = Fraction(a)
     ints, dints = f._cleared
     hyp = _hypothesis(f, a, ints, dints)
-    mod_k = p**k
+    mod_k = _power(p, k)
     trace: list[LiftStep] = []
     root = rational_residue(a, mod_k)
     if not hyp.degenerate:
@@ -374,10 +390,14 @@ def lift(f: PadicPoly, a, k: int) -> HenselCertificate:
         kw = k + e
         _require_room(k, e)
         # the seed mod p**(2m) keeps nu(f) = m and the precision step 1 needs
-        cur, floor = rational_residue(a, p ** (2 * hyp.m)), hyp.m
+        cur, floor = rational_residue(a, _power(p, 2 * hyp.m)), hyp.m
         inv, known = 0, 0  # an inverse of f'(cur)/p**e modulo p**known
         for n in range(MAX_STEPS + 1):
-            val_f, u, h = _measure(p, ints, dints, cur, e, floor)
+            val_f, u = _split(p, _horner(ints, cur, 0), floor)
+            stop = val_f is None or val_f >= kw
+            w = kw if stop else min(2 * val_f - e, kw)
+            # the update reads f'(cur)/p**e to w - val_f + e digits
+            h = _derivative_unit(p, dints, cur, e, 1 if stop else w - val_f + e)
             if h is None:
                 raise InternalBoundViolation(
                     f"derivative valuation drifted from {e} at step {n}"
@@ -387,9 +407,8 @@ def lift(f: PadicPoly, a, k: int) -> HenselCertificate:
                     f"induction bound broken at step {n}: nu(f(a_n)) = {val_f}"
                 )
             trace.append(LiftStep(n, root, val_f))
-            if val_f is None or val_f >= kw:
+            if stop:
                 break
-            w = min(2 * val_f - e, kw)
             cur, inv = _step(p, cur, u, val_f, h, e, w, inv, known)
             root = cur % mod_k
             # nu(cur - previous cur) >= val_f - e moves f'/p**e by at least
@@ -452,7 +471,7 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
     p, k, f = cert.p, cert.k, cert.f
     hyp = cert.hypothesis
     e = hyp.e
-    mod_k = p**k
+    mod_k = _power(p, k)
 
     ints, dints = f._cleared
     e_true, m_true = _exponents(p, ints, dints, cert.a)
@@ -472,18 +491,18 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
         want = _visible(v, k)
         if want < 0:
             return False
-        modulus = p ** min(want + 1, k)
+        modulus = _power(p, min(want + 1, k))
         x %= modulus
         key = (coeffs is ints, x, modulus)
         if key not in memo:
             memo[key] = _value_mod(coeffs, x, modulus)
         r = memo[key]
-        return not r if want == k else r > 0 and not r % p**want
+        return not r if want == k else r > 0 and not r % _power(p, want)
 
     seed_res = rational_residue(cert.a, mod_k)
     if not shows(ints, cert.root, None):
         fails.append("root_residue")
-    if (cert.root - seed_res) % p ** min(e + 1, k) != 0:
+    if (cert.root - seed_res) % _power(p, min(e + 1, k)) != 0:
         fails.append("root_near_seed")
 
     if not shows(dints, cert.root, e):
@@ -531,7 +550,7 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
     # ultrametric inequality, so every pair then keeps its bound too.  (A
     # trace whose indices are out of order already fails trace_indices.)
     for s1, s2 in zip(cert.trace, cert.trace[1:]):
-        if (s2.residue - s1.residue) % p ** _capped(e, t, s1.n, k):
+        if (s2.residue - s1.residue) % _power(p, _capped(e, t, s1.n, k)):
             fails.append(f"trace_distance_{s1.n}_{s2.n}")
 
     # quadratic convergence: steps needed is log-sized in (k - e)/t
@@ -577,7 +596,7 @@ def unique_in_neighborhood(f: PadicPoly, cert: HenselCertificate, z2: int) -> bo
     """
     p, k = cert.p, cert.k
     _require_fit(p, k)
-    mod_k = p**k
+    mod_k = _power(p, k)
     z2 = z2 % mod_k
     # f's own residues rather than f._cleared: f may be over another
     # prime, whose cleared denominators need not be units mod p
@@ -623,5 +642,5 @@ def certificate_from_record(record: dict) -> HenselCertificate:
         LiftStep(int(n), int(res), None if val is None else int(val))
         for n, res, val in record["trace"]
     )
-    root = int(record["root"]) % p**k
+    root = int(record["root"]) % _power(p, k)
     return HenselCertificate(p, f, a, k, hyp, trace, root, bool(record["checks_passed"]))

@@ -37,7 +37,8 @@ construction take the checked p.  The operators and :meth:`PadicPoly.eval
 <padic.polynomial.PadicPoly.eval>` compute on plain ``(v, unit, prec)``
 triples, with ``None`` for the exact zero, and build one checked value
 per result.  Powers of p come from ``_power``, a least-recently-used
-cache of at most 256 powers.
+cache of at most 256 powers, and ``_divmod`` divides by a long divisor,
+such as a p**k of 8000 bits or more, by recursion rather than schoolbook.
 """
 
 from __future__ import annotations
@@ -70,6 +71,67 @@ class Form(Enum):
 def _power(p: int, n: int) -> int:
     """``p**n``; a value works at a few precisions, so few powers recur."""
     return p**n
+
+
+# CPython 3.11 divides by schoolbook, quadratic in the divisor's length.
+# _divmod recurses on a divisor of _DIVMOD_BITS bits or more, down to
+# builtin divisions of _DIVMOD_BASE bits (2000-6000 timed no better).
+# scripts/large_k_lift.py put the crossover of a 2n-by-n division at
+# 8000-12000 bits, where the recursion took x0.93-1.06 of the builtin's
+# time; it took x0.85 at 16k bits, x0.7 at 26.6k and x0.2-0.4 at 150k
+_DIVMOD_BITS = 8000
+_DIVMOD_BASE = 4000
+
+
+def _divmod(a: int, b: int) -> tuple[int, int]:
+    """``divmod(a, b)`` for b > 0, by Burnikel and Ziegler's recursion once b is long.
+
+    Below ``_DIVMOD_BITS`` it is the builtin.  Past it, a is read in
+    digits of b's length n, top first, and each 2n-by-n division splits
+    into two 3-by-2 divisions in half-length digits ("Fast Recursive
+    Division", MPI-I-98-1-022, 1998), so it costs a few products of
+    halves rather than n**2 digit steps.
+
+    >>> _divmod(-7 * 3**6000 - 5, 3**6000) == divmod(-7 * 3**6000 - 5, 3**6000)
+    True
+    """
+    n = b.bit_length()
+    if n < _DIVMOD_BITS:
+        return divmod(a, b)
+    if a < 0:
+        q, r = _divmod(~a, b)
+        return ~q, b + ~r
+    q = r = 0
+    mask = (1 << n) - 1
+    for shift in range(a.bit_length() // n * n, -1, -n):
+        d, r = _div_2n_by_n(r << n | a >> shift & mask, b, n)
+        q = q << n | d
+    return q, r
+
+
+def _div_2n_by_n(a: int, b: int, n: int) -> tuple[int, int]:
+    """``divmod(a, b)`` for an n-bit b and 0 <= a < b * 2**n."""
+    if a.bit_length() - n <= _DIVMOD_BASE:
+        return divmod(a, b)
+    pad = n & 1  # an even n halves exactly; the quotient does not change
+    if pad:
+        a, b, n = a << 1, b << 1, n + 1
+    half = n >> 1
+    mask = (1 << half) - 1
+    b1, b2 = b >> half, b & mask
+    q, r = 0, a >> n
+    for low in (a >> half & mask, a & mask):
+        # [r, low] / [b1, b2]: estimate the digit from r / b1, then correct
+        if r >> half == b1:
+            d, r = mask, r - (b1 << half) + b1
+        else:
+            d, r = _div_2n_by_n(r, b1, half)
+        r = (r << half | low) - d * b2
+        while r < 0:
+            d -= 1
+            r += b
+        q = q << half | d
+    return q, r >> pad
 
 
 # ----- arithmetic on (v, unit, prec) triples, None for the exact zero -------

@@ -49,9 +49,15 @@ from .valuation import check_prime
 # enumerate_roots expands its balls into at most DOMAIN_LIMIT residues, and
 # takes on k log2(p) up to WORK_BITS: a double root still goes down one
 # digit per node, each stripping about j digits from k-digit residues, and
-# (x - a)**2 mod 2**2000 took 1.2 s
+# (x - a)**2 mod 2**2000 took 1.2 s.  It also refuses a degree d with
+# (k - 1) k log2(p) (16 d + k) above WORK_LIMIT: a double root costs a node
+# per level below the first, each of 3 synthetic divisions of d + 1
+# residues and a strip of about 3j digits, and (x - a)**2 h with deg h =
+# d - 2 fits 1.7e-10 s per unit of that product at p = 2: 0.43 / 1.63 s at
+# d = 1000, 2**400 / d = 20, 2**2000.  The limit is about 1.5 s of it.
 DOMAIN_LIMIT = 10**7
 WORK_BITS = 2000
+WORK_LIMIT = 9 * 10**9
 # a reduced node's roots mod p are found by trying every residue while
 # p <= max(_SCAN_LIMIT, deg * p.bit_length()), and by gcds with t**p - t
 # past it: a scan costs about p * deg steps and the gcd deg**2 log2(p),
@@ -274,15 +280,19 @@ def enumerate_roots(
 
     With ``center`` and ``radius_exponent`` given, also reports the
     sublist of roots r with nu(r - center) > radius_exponent.  Raises
-    :class:`DomainTooLarge` when k log2(p) is above ``WORK_BITS``, before
-    the tree runs, or when its balls hold more than ``DOMAIN_LIMIT``
-    residues, before they are expanded.
+    :class:`DomainTooLarge` when k log2(p) is above ``WORK_BITS`` or the
+    degree d makes (k - 1) k log2(p) (16 d + k) exceed ``WORK_LIMIT``,
+    both before the tree runs, or when its balls hold more than
+    ``DOMAIN_LIMIT`` residues, before they are expanded.
     """
-    p = f.p
+    p, d = f.p, f.degree
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if k * math.log2(p) > WORK_BITS:
+    bits = k * math.log2(p)
+    if bits > WORK_BITS:
         raise DomainTooLarge(f"{p}^{k} is past the work bound of {WORK_BITS} bits")
+    if (k - 1) * bits * (16 * d + k) > WORK_LIMIT:
+        raise DomainTooLarge(f"degree {d} at {p}^{k} is past the work bound")
     modulus = p**k
     balls = _root_tree(f, k)
     if sum(p ** (k - j) for _, j in balls) > DOMAIN_LIMIT:

@@ -1,5 +1,6 @@
 """Shared strategies and helpers for the test suite."""
 
+import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
@@ -61,3 +62,20 @@ def time_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def double_root_times_cofactor(degree: int, bits: int, seed: int) -> list[int]:
+    """(x - a)**2 * h, low first, h monic of the given degree with random coefficients.
+
+    A double root at a keeps the root tree one node per level, and every
+    node reads all the coefficients of the degree + 2 product.
+    """
+    rng = random.Random(seed)
+    a = rng.getrandbits(bits)
+    h = [rng.getrandbits(bits) for _ in range(degree)] + [1]
+    square = [a * a, -2 * a, 1]
+    out = [0] * (len(h) + 2)
+    for i, c in enumerate(h):
+        for j, s in enumerate(square):
+            out[i + j] += c * s
+    return out

@@ -3,7 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from conftest import time_limit
+from conftest import double_root_times_cofactor, time_limit
 from padic import InternalBoundViolation, cli, lift, parse_poly, valuation
 from padic.hensel import certificate_from_record
 
@@ -205,6 +205,14 @@ def test_oracle_domain_guard(capsys):
     with time_limit(1):
         code, _, err = run_cli(capsys, "oracle", "-p", "2", "-k", "2001", "--poly", "x")
     assert code == 7 and "work bound" in err
+
+
+def test_oracle_refuses_a_high_degree_at_once(capsys):
+    coeffs = double_root_times_cofactor(998, 20, 7)
+    poly = " + ".join(f"{c}*x^{i}" for i, c in enumerate(coeffs)).replace("+ -", "- ")
+    with time_limit(0.5):
+        code, _, err = run_cli(capsys, "oracle", "-p", "2", "-k", "800", "--poly", poly)
+    assert code == 7 and "degree 1000 at 2^800 is past the work bound" in err
 
 
 def test_crosscheck(capsys):

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -18,6 +19,7 @@ from padic import (
     HypothesisFailed,
     LiftStep,
     NotAnInteger,
+    PadicError,
     PadicPoly,
     PrecisionExhausted,
     certificate_from_record,
@@ -609,7 +611,7 @@ def _seeded_lifts():
 
 
 def test_working_exponents_follow_the_measured_valuations(monkeypatch):
-    steps, inverses = [], []
+    steps, inverses, reads = [], [], []
 
     def recording_step(p, a, u, v, h, e, w, *carry):
         steps.append((v, w))
@@ -619,15 +621,32 @@ def test_working_exponents_follow_the_measured_valuations(monkeypatch):
         inverses.append((w, known))
         return inverse(h, p, w, x, known)
 
+    def recording_value_mod(coeffs, x, modulus):
+        reads.append((coeffs, modulus))
+        return value_mod(coeffs, x, modulus)
+
+    def marking_verify(cert):
+        reads.append(None)  # the reads after this one are verify's
+        return verify(cert)
+
     step, inverse = hensel._step, hensel._unit_inverse
+    value_mod, verify = hensel._value_mod, hensel.verify_certificate
     monkeypatch.setattr(hensel, "_step", recording_step)
     monkeypatch.setattr(hensel, "_unit_inverse", recording_inverse)
+    monkeypatch.setattr(hensel, "_value_mod", recording_value_mod)
+    monkeypatch.setattr(hensel, "verify_certificate", marking_verify)
     lifts = 0
     for f, a, k in _seeded_lifts():
         steps.clear()
         inverses.clear()
+        reads.clear()
         cert = lift(f, a, k)
         e = cert.hypothesis.e
+        # f' is read modulo p^(e + prec) for the prec = w - v + e that the
+        # update reads, and modulo p^(e + 1) at the step that stops
+        dints = f._cleared[1]
+        fprime = [modulus for coeffs, modulus in reads[:reads.index(None)] if coeffs is dints]
+        assert fprime == [f.p ** (2 * e + w - v) for v, w in steps] + [f.p ** (e + 1)]
         assert cert.checks_passed and not cert.degenerate
         exponents = [w for _, w in steps]
         assert exponents == sorted(exponents)
@@ -882,3 +901,147 @@ def test_the_cleared_coefficients_are_computed_once_per_polynomial(monkeypatch):
     # an equal polynomial built anew computes its own, once
     g = dataclasses.replace(f)
     assert lift(g, 1, 12) == cert and computed == [f.coeffs, f.coeffs]
+
+
+# ----- fuzzing verify with mutated records ---------------------------------
+
+FUZZ_FIELDS = ("p", "f", "a", "K", "e", "m", "t", "trace", "root", "checks_passed")
+_FUZZ_LIFTS = {
+    "e = 0": (("x^2 - 6", 5, 1, 8), ("x^2 - 6", 5, 1, 30), ("x^3 - 2", 5, 3, 12),
+              ("x^2 + 1", 101, 10, 20), ("x^2 - 4", 5, 2, 5), ("x^2 + 1/102", 101, 10, 9)),
+    "e > 0": (("x^2 - 17", 2, 1, 9), ("x^2 - 17", 2, 1, 40), ("x^2 - 392", 7, F(7, 8), 30),
+              ("x^2 + 10201", 101, 1010, 7), ("x^2 - 324", 3, 9, 12)),
+}
+
+
+@functools.cache
+def _lifted_records(group):
+    return [certificate_to_record(lift(parse_poly(poly, p), a, k))
+            for poly, p, a, k in _FUZZ_LIFTS[group]]
+
+
+def _nu(p, q):
+    """nu_p of a rational by counting factors of p; None at 0."""
+    if q == 0:
+        return None
+    num, den, v = q.numerator, q.denominator, 0
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def _claim_holds(cert):
+    """Whether a certificate's claim is true, by plain Horner in the test.
+
+    The claim: e = nu(f'(a)) and m = nu(f(a)), with t = m - 2e >= 1 when m
+    is finite, and root is the residue mod p**K of the root xi that a lifts
+    to.  With nu(root - a) > e, nu(f(root)) = e + nu(root - xi), so the
+    last part holds exactly when f(root) = 0 mod p**(K + e).
+    """
+    p, k, hyp, a = cert.p, cert.k, cert.hypothesis, F(cert.a)
+    coeffs = cert.f.coeffs
+    e = _nu(p, sum(i * c * a ** (i - 1) for i, c in enumerate(coeffs) if i))
+    m = _nu(p, sum(c * a**i for i, c in enumerate(coeffs)))
+    if e is None or (e, m) != (hyp.e, hyp.m):
+        return False
+    if m is not None and (m <= 2 * e or hyp.t != m - 2 * e):
+        return False
+    modulus = p ** (k + e)
+    seed = a.numerator * pow(a.denominator, -1, modulus)
+    if (cert.root - seed) % p ** (e + 1):
+        return False
+    d = math.lcm(*(c.denominator for c in coeffs))
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * cert.root + c.numerator * (d // c.denominator)) % modulus
+    return acc == 0
+
+
+def _largest_k(record):
+    """The largest K, past the record's, at which the root is still a root mod p**K."""
+    p, root = record["p"], record["root"]
+    coeffs = [F(c) for c in record["f"]]
+    d = math.lcm(*(c.denominator for c in coeffs))
+    value = sum(c.numerator * (d // c.denominator) * root**i for i, c in enumerate(coeffs))
+    v = _nu(p, F(value))
+    return record["K"] + 1 if v is None else max(v, record["K"] + 1)
+
+
+def _replacement(draw, value, p):
+    """Another value for a field: nearby, of the other sign, or of another type."""
+    near = []
+    if isinstance(value, int) and not isinstance(value, bool):
+        near = [value + 1, value - 1, -value, 0, value + p, value * p, value + 2**64]
+    as_float = float(F(value)) if isinstance(value, (int, str)) else 0.5
+    other = [str(value), as_float, None, True, False, [], [value], [value, value, value, value]]
+    return draw(st.sampled_from(near + other))
+
+
+@st.composite
+def _mutated_records(draw, group, field):
+    record = dict(draw(st.sampled_from(_lifted_records(group))))
+    p, value = record["p"], record[field]
+    if field == "f":
+        coeffs = list(value)
+        i = draw(st.integers(0, len(coeffs) - 1))
+        value = draw(st.sampled_from((
+            coeffs[:i] + [_replacement(draw, int(F(coeffs[i])), p)] + coeffs[i + 1:],
+            coeffs[:i] + [f"1/{p}"] + coeffs[i + 1:],
+            coeffs[:-1], coeffs + ["1"], coeffs + ["0"],
+            _replacement(draw, value, p),
+        )))
+    elif field == "trace" and value:
+        steps = [list(step) for step in value]
+        i, j = draw(st.integers(0, len(steps) - 1)), draw(st.integers(0, 2))
+        changed = [*steps[i][:j], _replacement(draw, steps[i][j], p), *steps[i][j + 1:]]
+        value = draw(st.sampled_from((
+            steps[:i] + [changed] + steps[i + 1:],
+            steps[:i] + [steps[i][:2]] + steps[i + 1:],
+            steps[:i] + [steps[i] + [0]] + steps[i + 1:],
+            steps[:i] + steps[i + 1:],
+            steps[:i + 1] + steps[i:],
+            _replacement(draw, value, p),
+        )))
+    elif field == "a":
+        a = F(value)
+        value = draw(st.sampled_from((str(a + 1), str(a + p), str(-a), str(a / 3), str(a / p))
+                                     + (_replacement(draw, value, p),)))
+    elif field == "K":
+        value = draw(st.sampled_from((_largest_k(record), _replacement(draw, value, p))))
+    elif field == "checks_passed":
+        value = draw(st.sampled_from((not value, None, 0, 1, "no", [])))
+    else:
+        value = _replacement(draw, value, p)
+    record[field] = value
+    return record
+
+
+def _fuzz_cases():
+    for field in FUZZ_FIELDS:
+        for group in _FUZZ_LIFTS:
+            marks = ()
+            if field == "K" and group == "e > 0":
+                marks = pytest.mark.xfail(
+                    strict=True, raises=AssertionError,
+                    reason="verify_certificate checks f(root) mod p^K, not p^(K+e), "
+                           "so it accepts a raised K when e >= 1")
+            yield pytest.param(field, group, marks=marks, id=f"{field}, {group}")
+
+
+@pytest.mark.parametrize("field, group", _fuzz_cases())
+def test_verify_never_raises_and_never_accepts_a_false_claim(field, group):
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_mutated_records(group, field))
+    def check(record):
+        try:
+            cert = certificate_from_record(record)
+        except (PadicError, ArithmeticError, LookupError, TypeError, ValueError):
+            return  # only what certificate_from_record accepts reaches verify
+        result = verify_certificate(cert)
+        assert result.ok == (not result.failures)
+        if result.ok:
+            assert _claim_holds(cert), record
+
+    check()

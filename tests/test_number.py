@@ -595,3 +595,38 @@ def test_prime_and_power_caches_are_bounded():
     assert is_prime.cache_info().maxsize is not None
     assert number._power.cache_info().maxsize is not None
     assert PadicNumber.from_rational(2, -1, 50_000).unit == 2**50_000 - 1
+
+
+_EDGE_BITS = (1, 2, number._DIVMOD_BASE - 1, number._DIVMOD_BASE, number._DIVMOD_BASE + 1,
+              number._DIVMOD_BITS - 1, number._DIVMOD_BITS, number._DIVMOD_BITS + 1,
+              2 * number._DIVMOD_BITS + 1, 60_000)
+
+
+@st.composite
+def _divisions(draw):
+    """(a, b) with b of 1 to 60,000 bits, shaped to reach each branch of _divmod."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.one_of(st.sampled_from(_EDGE_BITS), st.integers(1, 60_000)))
+    b = draw(st.sampled_from((
+        rng.getrandbits(n) | 1 << (n - 1),
+        (1 << n) - 1,  # all ones: the quotient digit estimate meets b's top half
+        1 << (n - 1),
+        5 ** max(1, int(n / 2.33)),  # a p**k, as hensel divides by
+    )))
+    q = rng.getrandbits(draw(st.integers(0, 2 * b.bit_length())))
+    a = draw(st.sampled_from((
+        q * b + rng.randrange(b),
+        q * b,  # an exact multiple
+        q * b + b - 1,  # the largest remainder
+        rng.randrange(b),  # a < b
+        (b << b.bit_length()) - 1,  # the largest 2n-by-n dividend
+        rng.getrandbits(3 * b.bit_length()),
+    )))
+    return draw(st.sampled_from((a, -a))), b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_divisions())
+def test_recursive_divmod_is_divmod(case):
+    a, b = case
+    assert number._divmod(a, b) == divmod(a, b)

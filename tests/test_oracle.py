@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import padic.oracle
-from conftest import time_limit
+from conftest import double_root_times_cofactor, time_limit
 from padic import (
     DomainTooLarge,
     PadicPoly,
@@ -52,6 +52,19 @@ def test_domain_guard():
     k = padic.oracle.WORK_BITS + 1
     with time_limit(1), pytest.raises(DomainTooLarge, match="work bound"):
         enumerate_roots(parse_poly("x", 2), k)
+
+
+def test_a_high_degree_is_refused_before_the_tree_runs():
+    # a double root under a degree-998 cofactor walks one node per level
+    # through all 1001 coefficients: at 2^800 the tree ran 1.8 s before
+    # refusing the 2^400 roots it found
+    f = PadicPoly(2, tuple(Fraction(c) for c in double_root_times_cofactor(998, 20, 7)))
+    with time_limit(0.5), pytest.raises(DomainTooLarge, match="degree 1000 at 2\\^800"):
+        enumerate_roots(f, 800)
+    assert (799 * 800 * (16 * 1000 + 800) > padic.oracle.WORK_LIMIT
+            > 1999 * 2000 * (16 * 2 + 2000))  # (x - a)^2 mod 2^2000 still runs
+    with time_limit(2):
+        assert enumerate_roots(f, 12).roots
 
 
 def test_filtered_roots():
