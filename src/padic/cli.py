@@ -156,7 +156,7 @@ def _cmd_norm(p: int, args) -> int:
                     "norm": "0", "norm_decimal": 0.0}, "0")
         return EXIT_OK
     val = ext_val_rat(p, q)
-    v, norm = val.low, val._norm(p)  # main has checked p
+    v, norm = val.low, val.norm_fraction(p)
     # a norm past float range has no decimal: too large a one overflows,
     # and too small a one reads 0.0, which only the zero norm may print
     try:

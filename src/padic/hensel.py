@@ -54,8 +54,8 @@ p**k-sized divisions: the full-size ``f(a_n)`` by ``p**floor`` in the last
 step's :func:`_split`, and ``f`` at the root modulo ``p**k`` in the verify
 that :func:`lift` runs and again in a verify of its record.  CPython 3.11
 divides by schoolbook, at about five squarings of a 26,000-bit ``p**k``,
-so a divisor of ``number._DIVMOD_BITS`` (8000) bits or more goes through
-the recursive ``number._divmod``.  Every power of p comes from
+so both go through ``number._divmod``, which recurses on a long divisor
+and is the builtin below the threshold it keeps.  Every power of p comes from
 ``number._power``, the library's bounded cache, so a lift, its verify and
 a verify of its record build each ``p**n`` once.  ``f`` is evaluated
 exactly, as the trace records the exact ``v_n``; ``f'`` is read only
@@ -76,7 +76,7 @@ from .errors import (
     NotAnInteger,
     PrecisionExhausted,
 )
-from .number import _DIVMOD_BITS, _divmod, _horner, _power, rational_residue
+from .number import _divmod, _horner, _power, rational_residue
 from .polynomial import MAX_MODULUS_BITS, PadicPoly
 from .valuation import _val_int, padic_val_int
 
@@ -162,18 +162,12 @@ def check_hypothesis(f: PadicPoly, a) -> Hypothesis:
     the seed's denominator are p-adic units, so they are the valuations
     of f and f' at the seed.
     """
-    return _hypothesis(f, Fraction(a), *f._cleared)
-
-
-def _hypothesis(f: PadicPoly, a: Fraction, ints: tuple[int, ...],
-                dints: tuple[int, ...]) -> Hypothesis:
-    """:func:`check_hypothesis` on f's cleared integer coefficients."""
-    p = f.p
+    p, a = f.p, Fraction(a)
     if f.degree < 1:
         raise ValueError("polynomial must be nonconstant")
     if a.denominator % p == 0:
         raise NotAnInteger(f"seed {a} is not a {p}-adic integer")
-    e, m = _exponents(p, ints, dints, a)
+    e, m = _exponents(p, *f._cleared, a)
     if e is None:
         raise DerivativeVanishes(f"f'({a}) = 0, no lifting neighborhood")
     if m is None:
@@ -221,8 +215,7 @@ def _split(p: int, x: int, floor: int) -> tuple[int | None, int]:
     """
     if x == 0:
         return None, 0
-    pf = _power(p, floor)
-    q, r = divmod(x, pf) if pf.bit_length() < _DIVMOD_BITS else _divmod(x, pf)
+    q, r = _divmod(x, _power(p, floor))
     if r:  # the floor overshot
         q, floor = x, 0
     j = padic_val_int(p, q)
@@ -287,23 +280,22 @@ def _value_mod(coeffs: tuple[int, ...], x: int, modulus: int) -> int:
     A coefficient already smaller than the modulus in size is used as it
     is, since reducing a small negative one would make it full-size, and
     the accumulator is reduced only once it outgrows twice the modulus's
-    bits, so Horner multiplies short operands and divides short ones.  A
-    modulus of ``_DIVMOD_BITS`` bits or more is divided by the recursive
-    :func:`~padic.number._divmod`.
+    bits, so Horner multiplies short operands and divides short ones.
+    Every reduction goes through :func:`~padic.number._divmod`, which
+    recurses on a long modulus and is the builtin below its threshold.
 
     >>> _value_mod((-6, 0, 1), 9, 5**4)
     75
     """
     limit = 2 * modulus.bit_length()
-    big = limit >= 2 * _DIVMOD_BITS
     acc = 0
     for c in reversed(coeffs):
         if not -modulus < c < modulus:
-            c = _divmod(c, modulus)[1] if big else c % modulus
+            c = _divmod(c, modulus)[1]
         acc = acc * x + c
         if acc.bit_length() > limit:
-            acc = _divmod(acc, modulus)[1] if big else acc % modulus
-    return _divmod(acc, modulus)[1] if big else acc % modulus
+            acc = _divmod(acc, modulus)[1]
+    return _divmod(acc, modulus)[1]
 
 
 def _fits(p: int, k: int) -> bool:
@@ -380,8 +372,8 @@ def lift(f: PadicPoly, a, k: int) -> HenselCertificate:
         raise ValueError("k must be a positive integer")
     _require_fit(p, k)
     a = Fraction(a)
+    hyp = check_hypothesis(f, a)
     ints, dints = f._cleared
-    hyp = _hypothesis(f, a, ints, dints)
     mod_k = _power(p, k)
     trace: list[LiftStep] = []
     root = rational_residue(a, mod_k)
@@ -627,11 +619,13 @@ def certificate_to_record(cert: HenselCertificate) -> dict:
 def certificate_from_record(record: dict) -> HenselCertificate:
     """Inverse of :func:`certificate_to_record`.
 
-    A ``K`` whose p**K is above ``2**MAX_MODULUS_BITS`` raises
-    :class:`ValueError` before p**K is built.
+    A ``K`` below 1, or one whose p**K is above ``2**MAX_MODULUS_BITS``,
+    raises :class:`ValueError` before any power of p is built.
     """
     f = PadicPoly(record["p"], tuple(Fraction(c) for c in record["f"]))
     p, k = f.p, int(record["K"])
+    if k < 1:
+        raise ValueError(f"K must be a positive integer, got {k}")
     _require_fit(p, k)
     a = Fraction(record["a"])
     e = int(record["e"])

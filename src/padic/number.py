@@ -30,9 +30,9 @@ Where p is validated: every constructor stores the int that
 prime int that downstream code may trust.  ``check_prime`` runs
 in ``__init__`` (the zero constructors and :meth:`~PadicNumber.from_record`
 go through it), in :meth:`~PadicNumber.from_rational`, which needs p
-before it embeds, and in public ``DigitExpansion`` and ``PadicPoly``
-construction; :meth:`~PadicNumber.digits` builds its expansion from the
-value's checked fields without it.  The valuations inside a value's
+before it embeds, and in ``DigitExpansion`` and ``PadicPoly``
+construction; :meth:`~PadicNumber.digits` builds its expansion through
+that same public constructor.  The valuations inside a value's
 construction take the checked p.  The operators and :meth:`PadicPoly.eval
 <padic.polynomial.PadicPoly.eval>` compute on plain ``(v, unit, prec)``
 triples, with ``None`` for the exact zero, and build one checked value
@@ -314,10 +314,7 @@ class PadicNumber:
         for _ in range(self.prec):
             u, r = divmod(u, self.p)
             out.append(r)
-        # the public constructor's checks hold by construction: p is the
-        # checked prime, each digit is a remainder mod p, and the lowest is
-        # that of a unit
-        return DigitExpansion._unchecked(self.p, self.v, tuple(out))
+        return DigitExpansion(self.p, self.v, tuple(out))
 
     def reduce_mod(self, k: int) -> int:
         """The unique residue r in [0, p**k) with x = r (mod p**k)."""
@@ -505,15 +502,6 @@ class DigitExpansion:
             raise ValueError("digits out of range")
         if self.digits[0] == 0:
             raise ValueError("lowest digit must be nonzero")
-
-    @classmethod
-    def _unchecked(cls, p: int, start: int, digits: tuple[int, ...]) -> DigitExpansion:
-        """An expansion whose checks already hold, built without running them."""
-        expansion = object.__new__(cls)
-        object.__setattr__(expansion, "p", p)
-        object.__setattr__(expansion, "start", start)
-        object.__setattr__(expansion, "digits", digits)
-        return expansion
 
     def value(self) -> Fraction:
         """The exact rational value of the truncated series."""

@@ -36,9 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, zip_longest
 
-# Unused: perfbench/worker.py:180 reads sys.modules["numpy"] after every
-# workload, so the import stays until that read is made optional
-# (ROADMAP item 1); delete it then.
 import numpy  # noqa: F401
 
 from .errors import DomainTooLarge
@@ -55,9 +52,16 @@ from .valuation import check_prime
 # residues and a strip of about 3j digits, and (x - a)**2 h with deg h =
 # d - 2 fits 1.7e-10 s per unit of that product at p = 2: 0.43 / 1.63 s at
 # d = 1000, 2**400 / d = 20, 2**2000.  The limit is about 1.5 s of it.
+# The root's split mod p adds SPLIT_SCALE d min(p, d log2(p)) log2(p): a
+# scan of p residues or a gcd of about d log2(p) steps, each of d steps on
+# log2(p)-bit residues.  On random dense f at k = 1 one unit of that took
+# 30-52 of the units above at p = 101 to 10007 (scans, degree 1000-10000)
+# and 41-84 at p = 99991 to 2**61 - 1 (gcds, degree 25-1000); degree 200
+# at 2**61 - 1 took 1.6 s, 82 % of the limit.
 DOMAIN_LIMIT = 10**7
 WORK_BITS = 2000
 WORK_LIMIT = 9 * 10**9
+SPLIT_SCALE = 50
 # a reduced node's roots mod p are found by trying every residue while
 # p <= max(_SCAN_LIMIT, deg * p.bit_length()), and by gcds with t**p - t
 # past it: a scan costs about p * deg steps and the gcd deg**2 log2(p),
@@ -87,9 +91,7 @@ def _roots_mod_p(g: list[int], p: int) -> list[int]:
     O(deg**2 log p), so k = 1 with p near ``DOMAIN_LIMIT`` costs no scan
     of p residues.  ``_split`` solves a line itself.
     """
-    # p <= _SCAN_LIMIT first spares a dense node the call to _scans
-    scan = p <= _SCAN_LIMIT or _scans(p, len(g) - 1)
-    return (_scan_roots_mod_p if scan else _gcd_roots_mod_p)(g, p)
+    return (_scan_roots_mod_p if _scans(p, len(g) - 1) else _gcd_roots_mod_p)(g, p)
 
 
 def _scans(p: int, degree: int) -> bool:
@@ -281,17 +283,19 @@ def enumerate_roots(
     With ``center`` and ``radius_exponent`` given, also reports the
     sublist of roots r with nu(r - center) > radius_exponent.  Raises
     :class:`DomainTooLarge` when k log2(p) is above ``WORK_BITS`` or the
-    degree d makes (k - 1) k log2(p) (16 d + k) exceed ``WORK_LIMIT``,
+    degree d makes (k - 1) k log2(p) (16 d + k), plus the root's split
+    ``SPLIT_SCALE`` d min(p, d log2(p)) log2(p), exceed ``WORK_LIMIT``,
     both before the tree runs, or when its balls hold more than
     ``DOMAIN_LIMIT`` residues, before they are expanded.
     """
     p, d = f.p, f.degree
     if k < 1:
         raise ValueError("k must be a positive integer")
-    bits = k * math.log2(p)
+    lg = math.log2(p)
+    bits = k * lg
     if bits > WORK_BITS:
         raise DomainTooLarge(f"{p}^{k} is past the work bound of {WORK_BITS} bits")
-    if (k - 1) * bits * (16 * d + k) > WORK_LIMIT:
+    if (k - 1) * bits * (16 * d + k) + SPLIT_SCALE * d * min(p, d * lg) * lg > WORK_LIMIT:
         raise DomainTooLarge(f"degree {d} at {p}^{k} is past the work bound")
     modulus = p**k
     balls = _root_tree(f, k)

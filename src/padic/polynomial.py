@@ -116,11 +116,9 @@ class PadicPoly:
         is built at the end.
         """
         _require_integer_points(self, x)
-        p, wp, point = self.p, _working_precision(x), _parts(x)
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = _add_parts(p, _mul_parts(p, acc, point), _embed(p, c, wp))
-        return _number(p, acc)
+        p, wp = self.p, _working_precision(x)
+        terms = [_embed(p, c, wp) for c in reversed(self.coeffs)]
+        return _number(p, _synthetic(p, terms, _parts(x))[-1])
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -149,6 +147,20 @@ def _clear_denominators(coeffs) -> tuple[tuple[int, ...], tuple[int, ...]]:
     d = math.lcm(*(c.denominator for c in coeffs))
     ints = tuple(c.numerator * (d // c.denominator) for c in coeffs)
     return ints, tuple(i * c for i, c in enumerate(ints) if i)
+
+
+def _synthetic(p: int, terms: list, point) -> list:
+    """Horner's rule on ``(v, unit, prec)`` triples, highest term first.
+
+    Returns every running sum after a leading ``None`` (the exact zero).
+    The last is the polynomial's value at ``point``; the ones between are
+    the quotient's coefficients, highest first, of its synthetic division
+    by X - point.
+    """
+    sums = [None]
+    for t in terms:
+        sums.append(_add_parts(p, _mul_parts(p, sums[-1], point), t))
+    return sums
 
 
 def _working_precision(*points: PadicNumber) -> int:
@@ -192,26 +204,21 @@ def taylor_remainder(f: PadicPoly, x: PadicNumber, y: PadicNumber) -> PadicNumbe
 def divided_difference(f: PadicPoly, x: PadicNumber, y: PadicNumber) -> PadicNumber:
     """The integer element z with f(x) - f(y) = z*(x - y).
 
-    Uses the telescoping identity
-    x**n - y**n = (x - y) * sum_{i=0..n-1} x**i y**(n-1-i),
-    so no division occurs and the result is meaningful even when x = y
-    (where it reduces to f'(x)).
+    Synthetic division gives f = (X - y)*q + f(y), and z is q(x), so no
+    division occurs and the result is meaningful even when x = y (where it
+    reduces to f'(x)).  Both passes are Horner's rule on the triples that
+    :meth:`PadicPoly.eval` uses: O(deg f) products in all.  z is symmetric
+    in x and y but its precision is not: an inexact zero goes in as y, the
+    point divided by, which gives z the precision of the monomial sums
+    c_n * sum(x**i * y**(n-1-i)); as x it can come out sharper.
     """
     _require_integer_points(f, x, y)
-    wp = _working_precision(x, y)
-    p = f.p
-    top = max(f.degree - 1, 0)
-    xs = _powers(x, top, p, wp)
-    ys = _powers(y, top, p, wp)
-    total = PadicNumber.exact_zero(p)
-    for n, c in enumerate(f.coeffs):
-        if n < 1 or c == 0:
-            continue
-        inner = PadicNumber.exact_zero(p)
-        for i in range(n):
-            inner = inner + xs[i] * ys[n - 1 - i]
-        total = total + inner * PadicNumber.from_rational(p, c, wp)
-    return total
+    if x.form is Form.ZERO_AT_LEAST:
+        x, y = y, x
+    p, wp = f.p, _working_precision(x, y)
+    terms = [_embed(p, c, wp) for c in reversed(f.coeffs)]
+    quotient = _synthetic(p, terms, _parts(y))[1:-1]
+    return _number(p, _synthetic(p, quotient, _parts(x))[-1])
 
 
 def _powers(x: PadicNumber, top: int, p: int, wp: int) -> list[PadicNumber]:

@@ -113,10 +113,7 @@ class ExtVal:
 
     def norm_fraction(self, p) -> Fraction:
         """The norm ``p**(-v)`` encoded by this value, as an exact rational."""
-        return self._norm(check_prime(p))
-
-    def _norm(self, p: int) -> Fraction:
-        """:meth:`norm_fraction` for a prime ``p`` its caller has checked."""
+        p = check_prime(p)
         if self.low == math.inf:
             return Fraction(0)
         if self.low == self.high:
@@ -209,18 +206,12 @@ def padic_norm_rat(p, q) -> Fraction:
     >>> padic_norm_rat(2, Fraction(3, 8))
     Fraction(8, 1)
     """
-    p = check_prime(p)
-    return _ext_val_rat(p, q)._norm(p)
+    return ext_val_rat(p, q).norm_fraction(p)
 
 
 def ext_val_rat(p, q) -> ExtVal:
     """Extended-value wrapper: ``exact_zero()`` at 0, ``finite(nu_p(q))`` otherwise."""
-    return _ext_val_rat(check_prime(p), q)
-
-
-def _ext_val_rat(p: int, q) -> ExtVal:
-    """:func:`ext_val_rat` for a prime ``p`` its caller has checked."""
-    q = Fraction(q)
+    p, q = check_prime(p), Fraction(q)
     if q == 0:
         return ExtVal.exact_zero()
     return ExtVal.finite(_val_int(p, q.numerator) - _val_int(p, q.denominator))

@@ -77,7 +77,8 @@ def test_norm_json(capsys):
 
 def test_norm_checks_its_prime_fewer_times(capsys, monkeypatch):
     # one norm once checked p four times: in main, ext_val_rat,
-    # padic_val_rat and norm_fraction; now main and ext_val_rat only
+    # padic_val_rat and norm_fraction; now main, ext_val_rat and
+    # norm_fraction
     calls = []
 
     def counting(p):
@@ -89,7 +90,7 @@ def test_norm_checks_its_prime_fewer_times(capsys, monkeypatch):
     monkeypatch.setattr(cli, "check_prime", counting)
     code, out, _ = run_cli(capsys, "norm", "-p", "5", "3/25")
     assert code == 0 and out == "5^2 = 25\n"
-    assert calls == [5] * 2
+    assert calls == [5] * 3
 
 
 def test_digits_minus_one(capsys):
@@ -213,6 +214,13 @@ def test_oracle_refuses_a_high_degree_at_once(capsys):
     with time_limit(0.5):
         code, _, err = run_cli(capsys, "oracle", "-p", "2", "-k", "800", "--poly", poly)
     assert code == 7 and "degree 1000 at 2^800 is past the work bound" in err
+
+
+def test_oracle_refuses_a_high_degree_mod_a_large_prime_at_once(capsys):
+    argv = ("oracle", "-p", "2305843009213693951", "-K", "1", "--poly", "x^2000 + x + 1")
+    with time_limit(1):
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (7, "") and "is past the work bound" in err
 
 
 def test_crosscheck(capsys):

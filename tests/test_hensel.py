@@ -875,6 +875,26 @@ def test_a_hand_built_certificate_past_the_bound_is_refused_before_p_to_the_k():
             unique_in_neighborhood(f, cert, cert.root)
 
 
+@pytest.mark.parametrize("k", [0, -8])
+def test_a_record_with_k_below_one_is_refused_before_any_power(k, monkeypatch):
+    # K = -8 once made the root the float 2.56e-06 and cached 5**-8
+    record = {**certificate_to_record(lift(parse_poly("x^2 - 6", 5), 1, 8)), "K": k}
+    built = []
+    monkeypatch.setattr(hensel, "_power", lambda p, n: built.append(n) or p**n)
+    with pytest.raises(ValueError, match=f"K must be a positive integer, got {k}"):
+        certificate_from_record(record)
+    assert built == []
+
+
+def test_split_finds_the_exact_valuation_when_the_floor_overshoots():
+    # a floor above nu(x) leaves a remainder, so _split measures x afresh;
+    # 5**4000 has 9288 bits and goes through the recursive division
+    for p, x in ((5, 3 * 5**4), (2, -7 * 2**10), (7, 1), (5, 2 * 5**3000 + 5**3001)):
+        v = padic_val_rat(p, x)
+        for floor in (0, v, v + 1, v + 7, 4000):
+            assert hensel._split(p, x, floor) == (v, x // p**v), (p, x, floor)
+
+
 def test_the_largest_baseline_row_stays_within_the_modulus_bound():
     # sqrt(6) in Z_5 at k = 64000 is the largest row of the lift baseline
     record = certificate_to_record(lift(parse_poly("x^2 - 6", 5), 1, 8))

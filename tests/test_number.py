@@ -129,8 +129,8 @@ def test_digits_examples():
         PadicNumber.zero_at_least(5, 4).digits()
 
 
-def test_digits_trust_the_checked_prime_and_the_public_constructor_does_not(monkeypatch):
-    # digits() once re-ran check_prime and a min/max scan of every digit
+def test_digits_go_through_the_public_constructor_which_checks_p(monkeypatch):
+    # digits() builds its expansion through the one public constructor
     x = PadicNumber.from_rational(2, Fraction(-5, 3), 256)
     calls = []
 
@@ -140,9 +140,9 @@ def test_digits_trust_the_checked_prime_and_the_public_constructor_does_not(monk
 
     monkeypatch.setattr(number, "check_prime", counting)
     expansion = x.digits()
-    assert calls == []
-    public = DigitExpansion(2, 0, expansion.digits)
     assert calls == [2]
+    public = DigitExpansion(2, 0, expansion.digits)
+    assert calls == [2, 2]
     assert expansion == public and hash(expansion) == hash(public)
     assert repr(expansion) == repr(public) and str(expansion) == str(public)
     assert type(expansion.p) is int and expansion.to_number() == x
@@ -181,6 +181,15 @@ def test_reduce_mod_errors():
         PadicNumber.from_rational(5, F(1, 5), 6).reduce_mod(2)
     with pytest.raises(InsufficientPrecision):
         PadicNumber.zero_at_least(5, 2).reduce_mod(3)
+
+
+def test_a_precision_or_an_exponent_below_one_is_refused():
+    x = PadicNumber.from_rational(5, 7, 8)
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="relative precision must be at least 1"):
+            PadicNumber.from_rational(5, 7, bad)
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            x.reduce_mod(bad)
 
 
 @given(primes, nonzero_rationals(), nonzero_rationals(),
@@ -242,6 +251,14 @@ def test_eq_to_precision():
     assert not x.eq_to_precision(y, 4)
     with pytest.raises(InsufficientPrecision):
         x.eq_to_precision(y, 5)
+
+
+def test_an_exact_zero_difference_is_equal_to_any_precision():
+    # the exact zero has v = 0, so only its own branch makes it equal mod p^k
+    zero = PadicNumber.exact_zero(5)
+    assert (zero - zero).form is Form.EXACT_ZERO
+    for k in (1, 40, 10**6):
+        assert zero.eq_to_precision(zero, k)
 
 
 def test_coercion_matches_explicit_embedding():

@@ -67,6 +67,29 @@ def test_a_high_degree_is_refused_before_the_tree_runs():
         assert enumerate_roots(f, 12).roots
 
 
+def test_an_exponent_below_one_is_refused():
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            enumerate_roots(parse_poly("x", 5), k)
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            crosscheck_arith(5, k, 3)
+
+
+def test_the_root_split_mod_a_large_prime_is_bounded():
+    # at k = 1 the degree bound once priced nothing: the split mod
+    # 2^61 - 1 of degree 2000 ran 53 s before printing its roots
+    p = 2**61 - 1
+    for degree in (230, 1000, 2000):
+        f = parse_poly(f"x^{degree} + x + 1", p)
+        with time_limit(0.5), pytest.raises(
+            DomainTooLarge, match=f"degree {degree} at {p}\\^1 is past the work bound"
+        ):
+            enumerate_roots(f, 1)
+    with time_limit(2):
+        enumerate_roots(parse_poly("x^20 + x + 1", p), 1)
+        enumerate_roots(parse_poly("x^3 - x", p), 2)
+
+
 def test_filtered_roots():
     report = enumerate_roots(parse_poly("x^2 - 6", 5), 4, center=1, radius_exponent=0)
     assert report.filtered_roots == (516,)

@@ -159,6 +159,49 @@ def test_divided_difference_square():
     assert_same_value(divided_difference(f, x, x), 2 * x)
 
 
+def test_polynomials_over_two_primes_do_not_add():
+    with pytest.raises(ValueError, match="different primes"):
+        parse_poly("x + 1", 5) + parse_poly("x + 1", 7)
+
+
+def _monomial_divided_difference(f, x, y):
+    """sum c_n * sum(x**i * y**(n-1-i)), by the operators, monomial by monomial."""
+    p = f.p
+    precs = [v.prec for v in (x, y) if v.form is Form.UNIT]
+    one = PadicNumber.from_rational(p, 1, min(precs) if precs else 32)
+    total = PadicNumber.exact_zero(p)
+    for n, c in enumerate(f.coeffs):
+        inner = PadicNumber.exact_zero(p)
+        for i in range(n):
+            inner = inner + one * x**i * y ** (n - 1 - i)
+        total = total + inner * PadicNumber.from_rational(p, c, one.prec)
+    return total
+
+
+def test_divided_difference_keeps_the_precision_of_the_monomial_sums():
+    # the synthetic division must give each field of the monomial form,
+    # inexact zeros and x = y included, on either side
+    rng = random.Random(19)
+
+    def point(p):
+        r = rng.random()
+        if r < 0.1:
+            return PadicNumber.exact_zero(p)
+        if r < 0.35:
+            return PadicNumber.zero_at_least(p, rng.randint(0, 8))
+        q = F(rng.randint(1, 10**6), rng.choice((1, 11, 13))) * p ** rng.choice((0, 0, 1, 3))
+        return PadicNumber.from_rational(p, q, rng.randint(1, 24))
+
+    for _ in range(400):
+        p = rng.choice((2, 3, 5, 7))
+        f = PadicPoly(p, tuple(F(rng.randint(-10**6, 10**6)) * p ** rng.choice((0, 0, 1, 4))
+                               for _ in range(rng.randint(1, 8))))
+        x = point(p)
+        y = x if rng.random() < 0.2 else point(p)
+        want = _monomial_divided_difference(f, x, y)
+        assert divided_difference(f, x, y) == want == divided_difference(f, y, x), (f, x, y)
+
+
 def _identities_hold(f, x, y):
     lhs = f.eval(x + y)
     rhs = f.eval(x) + f.derivative().eval(x) * y + taylor_remainder(f, x, y) * y**2

@@ -117,8 +117,8 @@ def test_norm_rat_is_the_norm_of_its_ext_val(p, q):
     assert padic_norm_rat(p, q) == ext_val_rat(p, q).norm_fraction(p)
 
 
-def test_a_norm_checks_its_prime_once_and_norm_fraction_still_checks(monkeypatch):
-    # padic_norm_rat once checked p twice: in ext_val_rat and norm_fraction
+def test_a_norm_checks_its_prime_in_ext_val_rat_and_in_norm_fraction(monkeypatch):
+    # padic_norm_rat is the norm_fraction of ext_val_rat, and each checks p
     calls = []
 
     def counting(p):
@@ -127,9 +127,9 @@ def test_a_norm_checks_its_prime_once_and_norm_fraction_still_checks(monkeypatch
 
     monkeypatch.setattr(valuation, "check_prime", counting)
     assert padic_norm_rat(5.0, Fraction(3, 25)) == 25
-    assert calls == [5.0]
+    assert calls == [5.0, 5.0]
     assert ExtVal.finite(1).norm_fraction("5") == Fraction(1, 5)
-    assert calls == [5.0, "5"]
+    assert calls == [5.0, 5.0, "5"]
     with pytest.raises(NotPrime):
         ExtVal.finite(1).norm_fraction(9)
 
