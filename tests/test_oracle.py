@@ -77,7 +77,7 @@ def test_an_exponent_below_one_is_refused():
 
 def test_the_root_split_mod_a_large_prime_is_bounded():
     # at k = 1 the degree bound once priced nothing: the split mod
-    # 2^61 - 1 of degree 2000 ran 53 s before printing its roots
+    # 2^61 - 1 of degree 2000 ran about a minute before printing its roots
     p = 2**61 - 1
     for degree in (230, 1000, 2000):
         f = parse_poly(f"x^{degree} + x + 1", p)
