@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Count the code lines of the library, module by module.
+"""Count the code lines of the library, module by module, and its public names.
 
 A code line is a non-blank line that is neither a comment nor part of a
 docstring (of a module, class or function), as read from the ``ast``.
+The last line is the size of ``__all__`` in the package's ``__init__.py``,
+read from its ``ast`` without importing it.
 
     python scripts/code_lines.py [SRC_DIR]
 """
@@ -33,6 +35,15 @@ def code_lines(path: Path) -> int:
     )
 
 
+def public_names(path: Path) -> int:
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return len(ast.literal_eval(node.value))
+    raise SystemExit(f"no __all__ in {path}")
+
+
 def main() -> int:
     src = Path(sys.argv[1]) if len(sys.argv) > 1 else DEFAULT_SRC
     total = 0
@@ -41,6 +52,7 @@ def main() -> int:
         total += count
         print(f"{path.name:<16}{count:>5}")
     print(f"total {total}")
+    print(f"__all__ {public_names(src / '__init__.py')}")
     return 0
 
 

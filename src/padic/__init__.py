@@ -41,7 +41,6 @@ from .oracle import CrosscheckReport, OracleReport, crosscheck_arith, enumerate_
 from .polynomial import PadicPoly, divided_difference, parse_poly, taylor_remainder
 from .valuation import (
     ExtVal,
-    ext_val_rat,
     is_prime,
     padic_norm_rat,
     padic_val_int,
@@ -81,7 +80,6 @@ __all__ = [
     "crosscheck_arith",
     "divided_difference",
     "enumerate_roots",
-    "ext_val_rat",
     "is_prime",
     "lift",
     "newton_step",

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .number import DEFAULT_PRECISION, Form, PadicNumber
 from .polynomial import parse_poly
-from .valuation import check_prime, ext_val_rat, padic_val_rat
+from .valuation import check_prime, padic_norm_rat, padic_val_rat
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -155,8 +155,7 @@ def _cmd_norm(p: int, args) -> int:
         _emit(args, {"p": p, "q": str(q), "valuation": None,
                     "norm": "0", "norm_decimal": 0.0}, "0")
         return EXIT_OK
-    val = ext_val_rat(p, q)
-    v, norm = val.low, val.norm_fraction(p)
+    v, norm = padic_val_rat(p, q), padic_norm_rat(p, q)
     # a norm past float range has no decimal: too large a one overflows,
     # and too small a one reads 0.0, which only the zero norm may print
     try:
@@ -208,7 +207,7 @@ def _format_certificate(cert: hensel.HenselCertificate) -> str:
         f"polynomial: {cert.f}",
         f"p: {cert.p}  seed: {cert.a}  target: {cert.p}^{cert.k}",
     ]
-    if cert.degenerate:
+    if hyp.degenerate:
         lines.append(f"hypothesis: e={hyp.e}  m=inf (seed is an exact root)")
     else:
         lines.append(f"hypothesis: e={hyp.e}  m={hyp.m}  t={hyp.t}")
@@ -220,10 +219,7 @@ def _format_certificate(cert: hensel.HenselCertificate) -> str:
     lines.append(f"root: {cert.root}")
     dist = "inf" if cert.dist_exponent is None else cert.dist_exponent
     lines.append(f"nu(root - seed): {dist}")
-    lines.append(
-        f"uniqueness: only root z with nu(z - seed) > "
-        f"{cert.uniqueness_radius_exponent}"
-    )
+    lines.append(f"uniqueness: only root z with nu(z - seed) > {hyp.e}")
     lines.append(f"verified: {str(cert.checks_passed).lower()}")
     return "\n".join(lines)
 

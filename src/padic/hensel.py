@@ -123,14 +123,6 @@ class HenselCertificate:
     checks_passed: bool
 
     @property
-    def degenerate(self) -> bool:
-        return self.hypothesis.degenerate
-
-    @property
-    def uniqueness_radius_exponent(self) -> int:
-        return self.hypothesis.e
-
-    @property
     def dist_exponent(self) -> int | None:
         """nu(root - a) mod p**k; None when they agree.
 
@@ -501,7 +493,7 @@ def verify_certificate(cert: HenselCertificate) -> VerificationResult:
         fails.append("derivative_stability")
 
     measured = _val(p, (cert.root - seed_res) % mod_k)
-    if cert.degenerate:
+    if hyp.degenerate:
         if cert.trace:
             fails.append("trace_empty")
         if measured is not None:
@@ -595,7 +587,7 @@ def unique_in_neighborhood(f: PadicPoly, cert: HenselCertificate, z2: int) -> bo
     if _value_mod([rational_residue(c, mod_k) for c in f.coeffs], z2, mod_k) != 0:
         raise ValueError(f"{z2} is not a root of f modulo {p}^{k}")
     d = _val(p, (z2 - rational_residue(cert.a, mod_k)) % mod_k)
-    if d is None or d > cert.uniqueness_radius_exponent:
+    if d is None or d > cert.hypothesis.e:
         return z2 == cert.root
     return True
 
@@ -622,7 +614,7 @@ def certificate_from_record(record: dict) -> HenselCertificate:
     A ``K`` below 1, or one whose p**K is above ``2**MAX_MODULUS_BITS``,
     raises :class:`ValueError` before any power of p is built.
     """
-    f = PadicPoly(record["p"], tuple(Fraction(c) for c in record["f"]))
+    f = PadicPoly(record["p"], record["f"])
     p, k = f.p, int(record["K"])
     if k < 1:
         raise ValueError(f"K must be a positive integer, got {k}")

@@ -17,8 +17,9 @@ nodes, and a multiple root one node per level until its ball vanishes.
 Nothing in this needs Hensel's hypothesis or shares code or state with
 the lifter, so it is exact for any p-integral f, and its work grows with
 the number of balls rather than with p**k.  ``enumerate_roots`` refuses,
-with ``DomainTooLarge``, a k log2(p) above ``WORK_BITS`` and balls that
-hold more than ``DOMAIN_LIMIT`` residues.  The tuple of roots is built
+with ``DomainTooLarge``, a k log2(p) above ``WORK_BITS``, a degree or a
+tree whose modelled work passes ``WORK_LIMIT``, and balls that hold more
+than ``DOMAIN_LIMIT`` residues.  The tuple of roots is built
 from the balls at the end.  Ring operations are cross-checked against
 plain rational arithmetic.  The result is deterministic and sorted.
 
@@ -57,7 +58,13 @@ from .valuation import check_prime
 # log2(p)-bit residues.  On random dense f at k = 1 one unit of that took
 # 30-52 of the units above at p = 101 to 10007 (scans, degree 1000-10000)
 # and 41-84 at p = 99991 to 2**61 - 1 (gcds, degree 25-1000); degree 200
-# at 2**61 - 1 took 1.6 s, 82 % of the limit.
+# at 2**61 - 1 took 1.6 s, 82 % of the limit.  The tree charges each node
+# below the root that unit.  A multiple root steps one level per node only
+# while 2j < k, since past that its reductions are lines, which jump, so
+# one chain spends about k/2 units, within the k - 1 the check before the
+# tree counts; several chains stop once their nodes pass the limit.  Seven
+# double roots mod 2**2000 ran 12 s before exiting 7 for their 2**1000
+# residues each, and are refused after 3.5 s (Python 3.11, 2-core host).
 DOMAIN_LIMIT = 10**7
 WORK_BITS = 2000
 WORK_LIMIT = 9 * 10**9
@@ -80,7 +87,6 @@ class OracleReport:
     p: int
     k: int
     roots: tuple[int, ...]
-    filtered_roots: tuple[int, ...] | None = None
 
 
 def _roots_mod_p(g: list[int], p: int) -> list[int]:
@@ -246,7 +252,7 @@ def _split(coeffs: list[int], p: int, k: int, modulus: int, r: int, j: int):
     return [(r + -t0 * pow(p, w0 - s, pm) * pow(t, -1, pm) % pm * pj, j + m)]
 
 
-def _root_tree(f: PadicPoly, k: int) -> list[tuple[int, int]]:
+def _root_tree(f: PadicPoly, k: int, unit: float = 0, budget: float = 0) -> list[tuple[int, int]]:
     """The balls r + p**j Z on which f vanishes mod p**k, disjoint, in no order.
 
     Starting from all of Z_p, each ball is either kept whole, when f
@@ -257,13 +263,19 @@ def _root_tree(f: PadicPoly, k: int) -> list[tuple[int, int]]:
     root costs O(log k) nodes; a multiple root reduces to degree 2 or more
     and goes down one digit per node until its ball vanishes whole.  Each
     coefficient is reduced mod p**k once per call; the zero polynomial,
-    with no coefficients, is the constant 0.
+    with no coefficients, is the constant 0.  Each node below the root
+    spends ``unit`` of ``budget``, and the one that overdraws it raises
+    :class:`DomainTooLarge`.
     """
     p, modulus = f.p, f.p**k
     coeffs = [_residue(c, modulus) for c in reversed(f.coeffs)] or [0]
     balls, stack = [], [(0, 0)]
     while stack:
         r, j = stack.pop()
+        if j:
+            budget -= unit
+            if budget < 0:
+                raise DomainTooLarge(f"the root tree at {p}^{k} ran past the work bound")
         children = _split(coeffs, p, k, modulus, r, j)
         if children is None:
             balls.append((r, j))
@@ -272,21 +284,18 @@ def _root_tree(f: PadicPoly, k: int) -> list[tuple[int, int]]:
     return balls
 
 
-def enumerate_roots(
-    f: PadicPoly,
-    k: int,
-    center: int | None = None,
-    radius_exponent: int | None = None,
-) -> OracleReport:
+def enumerate_roots(f: PadicPoly, k: int) -> OracleReport:
     """All residues r in [0, p**k) with f(r) = 0 (mod p**k), ascending.
 
-    With ``center`` and ``radius_exponent`` given, also reports the
-    sublist of roots r with nu(r - center) > radius_exponent.  Raises
-    :class:`DomainTooLarge` when k log2(p) is above ``WORK_BITS`` or the
-    degree d makes (k - 1) k log2(p) (16 d + k), plus the root's split
-    ``SPLIT_SCALE`` d min(p, d log2(p)) log2(p), exceed ``WORK_LIMIT``,
-    both before the tree runs, or when its balls hold more than
-    ``DOMAIN_LIMIT`` residues, before they are expanded.
+    Raises :class:`DomainTooLarge` when k log2(p) is above ``WORK_BITS``
+    or the degree d makes (k - 1) k log2(p) (16 d + k), plus the root's
+    split ``SPLIT_SCALE`` d min(p, d log2(p)) log2(p), exceed
+    ``WORK_LIMIT``, both before the tree runs; when the tree, charged
+    k log2(p) (16 d + k) per node below the root, runs the charges plus
+    the split past ``WORK_LIMIT``, as several multiple roots can; or when
+    its balls hold more than ``DOMAIN_LIMIT`` residues, before they are
+    expanded.  To ask which roots lie in a ball, filter ``roots``, as
+    :func:`padic.hensel.unique_in_neighborhood` does.
     """
     p, d = f.p, f.degree
     if k < 1:
@@ -295,23 +304,17 @@ def enumerate_roots(
     bits = k * lg
     if bits > WORK_BITS:
         raise DomainTooLarge(f"{p}^{k} is past the work bound of {WORK_BITS} bits")
-    if (k - 1) * bits * (16 * d + k) + SPLIT_SCALE * d * min(p, d * lg) * lg > WORK_LIMIT:
+    unit, split = bits * (16 * d + k), SPLIT_SCALE * d * min(p, d * lg) * lg
+    if (k - 1) * unit + split > WORK_LIMIT:
         raise DomainTooLarge(f"degree {d} at {p}^{k} is past the work bound")
     modulus = p**k
-    balls = _root_tree(f, k)
+    balls = _root_tree(f, k, unit, WORK_LIMIT - split)
     if sum(p ** (k - j) for _, j in balls) > DOMAIN_LIMIT:
         raise DomainTooLarge(f"f has more than {DOMAIN_LIMIT} roots mod {p}^{k}")
     # a single ball's residues are already ascending
     runs = [range(r, modulus, p**j) for r, j in balls]
     roots = tuple(runs[0]) if len(runs) == 1 else tuple(sorted(chain.from_iterable(runs)))
-    filtered = None
-    if center is not None:
-        if radius_exponent is None:
-            raise ValueError("filter needs both center and radius_exponent")
-        # nu(r - center) > radius_exponent, as far as residues mod p**k tell
-        ball = p ** min(max(radius_exponent + 1, 0), k)
-        filtered = tuple(r for r in roots if (r - center) % ball == 0)
-    return OracleReport(p, k, roots, filtered)
+    return OracleReport(p, k, roots)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ of ``p``.
 
 Both functions are total: they return 0 at 0 rather than raising, which
 keeps downstream algebra free of special cases.  The extended-value type
-:class:`ExtVal` is available when the distinction between "exactly zero"
-and "zero to some precision" matters.
+:class:`ExtVal`, which ``PadicNumber.norm`` returns, keeps the
+distinction between "exactly zero" and "zero to some precision".
 """
 
 from __future__ import annotations
@@ -24,14 +24,21 @@ from functools import lru_cache
 
 from .errors import IndeterminateValuation, NotPrime
 
-# Witnesses making Miller-Rabin deterministic for all n < 3.3 * 10**24,
-# far beyond any prime this library is used with.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin to the first 13 prime bases is deterministic below
+# _PRIME_BOUND, the least strong pseudoprime to all of them (psi_13 of
+# Sorenson and Webster, 2015), far beyond any prime this library is used
+# with; the first 12 stop at psi_12 = 318665857834031151167461 =
+# 399165290221 * 798330580441.  Past the bound the test refuses to guess.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
 
 
 @lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
     """Deterministic primality test (trial division + Miller-Rabin).
+
+    It is proven only below ``3317044064679887385961981``; an n at or past
+    that bound raises :class:`ValueError` rather than guess.
 
     >>> is_prime(13)
     True
@@ -40,6 +47,8 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"primality is decided only below {_PRIME_BOUND}")
     for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
@@ -64,7 +73,9 @@ def check_prime(p) -> int:
     """Return ``p`` as an int, raising :class:`NotPrime` if it is not prime.
 
     A p that ``int()`` would truncate, such as ``5.5``, is not prime
-    either; a string is read as ``int()`` reads it.
+    either; a string is read as ``int()`` reads it.  A p at or past
+    ``3317044064679887385961981``, where :func:`is_prime` stops being
+    proven, is refused too, before any Miller-Rabin round.
 
     >>> check_prime(5.0)
     5
@@ -78,6 +89,11 @@ def check_prime(p) -> int:
         if n != p and not isinstance(p, str):
             raise NotPrime(f"p must be prime, got {p}")
         p = n
+    if p >= _PRIME_BOUND:
+        raise NotPrime(
+            f"p must be a prime below {_PRIME_BOUND}, where primality is proven; "
+            f"got a {p.bit_length()}-bit p"
+        )
     if not is_prime(p):
         raise NotPrime(f"p must be prime, got {p}")
     return p
@@ -196,8 +212,8 @@ def _val_int(p: int, z: int) -> int:
 
 def padic_val_rat(p, q) -> int:
     """Valuation on rationals: nu(numerator) - nu(denominator); 0 at q = 0."""
-    val = ext_val_rat(p, q)
-    return 0 if val.low == math.inf else val.low
+    p, q = check_prime(p), Fraction(q)
+    return _val_int(p, q.numerator) - _val_int(p, q.denominator)
 
 
 def padic_norm_rat(p, q) -> Fraction:
@@ -206,12 +222,7 @@ def padic_norm_rat(p, q) -> Fraction:
     >>> padic_norm_rat(2, Fraction(3, 8))
     Fraction(8, 1)
     """
-    return ext_val_rat(p, q).norm_fraction(p)
-
-
-def ext_val_rat(p, q) -> ExtVal:
-    """Extended-value wrapper: ``exact_zero()`` at 0, ``finite(nu_p(q))`` otherwise."""
     p, q = check_prime(p), Fraction(q)
     if q == 0:
-        return ExtVal.exact_zero()
-    return ExtVal.finite(_val_int(p, q.numerator) - _val_int(p, q.denominator))
+        return Fraction(0)
+    return Fraction(p) ** (_val_int(p, q.denominator) - _val_int(p, q.numerator))

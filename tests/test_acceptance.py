@@ -257,6 +257,6 @@ def test_criterion_09_tower_compatibility():
 
 def test_criterion_10_convergence_speed():
     limit = 5  # ceil(log2(5)) + 2 for K = 5
-    lengths = [len(cert.trace) for cert, _ in _sweep_results() if not cert.degenerate]
+    lengths = [len(cert.trace) for cert, _ in _sweep_results() if not cert.hypothesis.degenerate]
     ok = bool(lengths) and all(length <= limit for length in lengths)
     _report(10, f"all {len(lengths)} sweep traces within ceil(log2 K) + 2 steps", ok)

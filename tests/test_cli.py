@@ -32,6 +32,32 @@ def test_val_non_prime(capsys):
     assert code == 3 and "prime" in err
 
 
+def test_a_p_past_the_proven_primality_bound_exits_3(capsys):
+    # both passed the first 12 prime bases: psi_12 = 399165290221 *
+    # 798330580441 is caught by base 41, and psi_13 is past the bound
+    for p in ("318665857834031151167461", "3317044064679887385961981"):
+        code, out, err = run_cli(capsys, "val", "-p", p, "5")
+        assert code == 3 and not out and "prime" in err
+        code, out, _ = run_cli(
+            capsys, "lift", "-p", p, "-K", "3", "--poly", "x^2 - 4", "--seed", "2"
+        )
+        assert code == 3 and not out
+    code, out, _ = run_cli(capsys, "val", "-p", "3317044064679887385961813", "5")
+    assert code == 0 and out == "0\n"
+
+
+def test_a_4300_digit_p_exits_3_at_once():
+    # an odd p free of the witness primes once ran a Miller-Rabin round
+    # on 4300 digits, 7.7 s, before it exited 3
+    p = next(n for n in range(10**4299 + 1, 10**4300, 2)
+             if all(n % q for q in valuation._MR_WITNESSES))
+    proc = subprocess.run(
+        [sys.executable, "-m", "padic", "val", "-p", str(p), "3"],
+        capture_output=True, text=True, timeout=1,
+    )
+    assert proc.returncode == 3 and "prime below" in proc.stderr
+
+
 def test_val_parse_error(capsys):
     code, _, err = run_cli(capsys, "val", "-p", "2", "three")
     assert code == 2 and "error" in err
@@ -77,8 +103,8 @@ def test_norm_json(capsys):
 
 def test_norm_checks_its_prime_fewer_times(capsys, monkeypatch):
     # one norm once checked p four times: in main, ext_val_rat,
-    # padic_val_rat and norm_fraction; now main, ext_val_rat and
-    # norm_fraction
+    # padic_val_rat and norm_fraction; now main, padic_val_rat and
+    # padic_norm_rat
     calls = []
 
     def counting(p):

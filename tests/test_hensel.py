@@ -123,7 +123,7 @@ def test_lift_cube_root():
 
 def test_lift_degenerate():
     cert = lift(parse_poly("x^2 - 1", 7), 1, 5)
-    assert cert.degenerate and cert.root == 1 and cert.trace == ()
+    assert cert.hypothesis.degenerate and cert.root == 1 and cert.trace == ()
     assert cert.dist_exponent is None
     assert cert.checks_passed
 
@@ -131,7 +131,7 @@ def test_lift_degenerate():
 def test_lift_degenerate_rational_seed():
     # 3x - 1 has the exact rational root 1/3
     cert = lift(parse_poly("3*x - 1", 5), F(1, 3), 3)
-    assert cert.degenerate
+    assert cert.hypothesis.degenerate
     assert cert.root == rational_residue(F(1, 3), 125) == 42
     assert cert.checks_passed
 
@@ -242,7 +242,7 @@ def test_trace_length_bound():
         except (HypothesisFailed, DerivativeVanishes):
             continue
         assert cert.checks_passed
-        if not cert.degenerate:
+        if not cert.hypothesis.degenerate:
             t = cert.hypothesis.t
             e = cert.hypothesis.e
             doublings = 0
@@ -292,7 +292,7 @@ def test_degenerate_with_positive_derivative_valuation():
     # roots 1 and 26 = 1 + 5^2; f'(1) = -25 has valuation 2
     f = parse_poly("x^2 - 27*x + 26", 5)
     cert = lift(f, 1, 1)
-    assert cert.degenerate and cert.hypothesis.e == 2
+    assert cert.hypothesis.degenerate and cert.hypothesis.e == 2
     assert cert.root == 1 and cert.checks_passed
 
 
@@ -647,7 +647,7 @@ def test_working_exponents_follow_the_measured_valuations(monkeypatch):
         dints = f._cleared[1]
         fprime = [modulus for coeffs, modulus in reads[:reads.index(None)] if coeffs is dints]
         assert fprime == [f.p ** (2 * e + w - v) for v, w in steps] + [f.p ** (e + 1)]
-        assert cert.checks_passed and not cert.degenerate
+        assert cert.checks_passed and not cert.hypothesis.degenerate
         exponents = [w for _, w in steps]
         assert exponents == sorted(exponents)
         assert exponents == [min(2 * s.val_f - e, k + e) for s in cert.trace[:-1]]

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import padic
+
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPTS = {
@@ -37,3 +39,12 @@ def test_script_runs(name):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_code_lines_prints_the_size_of_all():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "code_lines.py")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"__all__ {len(padic.__all__)}"

@@ -13,7 +13,6 @@ from padic import (
     IndeterminateValuation,
     NotPrime,
     PadicNumber,
-    ext_val_rat,
     is_prime,
     padic_norm_rat,
     padic_val_int,
@@ -42,9 +41,9 @@ def test_norm_examples():
 
 
 def test_ext_val_examples():
-    assert ext_val_rat(3, 0) == ExtVal.exact_zero()
-    assert ext_val_rat(3, Fraction(9, 2)) == ExtVal.finite(2)
-    assert ext_val_rat(3, 1) == ExtVal.finite(0)
+    assert PadicNumber.from_rational(3, 0, 1).norm() == ExtVal.exact_zero()
+    assert PadicNumber.from_rational(3, Fraction(9, 2), 1).norm() == ExtVal.finite(2)
+    assert PadicNumber.from_rational(3, 1, 1).norm() == ExtVal.finite(0)
 
 
 def test_prime_validation():
@@ -57,6 +56,25 @@ def test_prime_validation():
 def test_is_prime_spot_checks():
     assert is_prime(2) and is_prime(1000003)
     assert not is_prime(1) and not is_prime(1000001)  # 101 * 9901
+
+
+PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981  # the least strong pseudoprime to bases 2..41
+
+
+def test_primality_is_decided_only_where_it_is_proven():
+    # psi_12 passed the first 12 prime bases and psi_13 passes 13, so p
+    # is refused from psi_13 on, before any Miller-Rabin round
+    assert not is_prime(PSI_12)
+    for composite in (PSI_12, PSI_13, PSI_13 + 2, 10**4299 + 1):
+        with pytest.raises(NotPrime):
+            check_prime(composite)
+    with pytest.raises(NotPrime, match=f"below {PSI_13}"):
+        check_prime(PSI_13)
+    with pytest.raises(ValueError, match=f"only below {PSI_13}"):
+        is_prime(PSI_13)
+    for prime in (3317044064679887385961813, 2**61 - 1):
+        assert is_prime(prime) and check_prime(prime) == prime
 
 
 def test_ext_val_ordering():
@@ -114,11 +132,12 @@ def test_norm_of_each_form_is_its_ext_val():
 
 @given(primes, rationals())
 def test_norm_rat_is_the_norm_of_its_ext_val(p, q):
-    assert padic_norm_rat(p, q) == ext_val_rat(p, q).norm_fraction(p)
+    assert padic_norm_rat(p, q) == PadicNumber.from_rational(p, q, 1).norm().norm_fraction(p)
+    assert padic_val_rat(p, q) == (PadicNumber.from_rational(p, q, 1).v if q else 0)
 
 
-def test_a_norm_checks_its_prime_in_ext_val_rat_and_in_norm_fraction(monkeypatch):
-    # padic_norm_rat is the norm_fraction of ext_val_rat, and each checks p
+def test_a_norm_checks_its_prime_once_and_norm_fraction_its_own(monkeypatch):
+    # padic_norm_rat reads the valuation itself, so it checks p once
     calls = []
 
     def counting(p):
@@ -127,15 +146,15 @@ def test_a_norm_checks_its_prime_in_ext_val_rat_and_in_norm_fraction(monkeypatch
 
     monkeypatch.setattr(valuation, "check_prime", counting)
     assert padic_norm_rat(5.0, Fraction(3, 25)) == 25
-    assert calls == [5.0, 5.0]
+    assert calls == [5.0]
     assert ExtVal.finite(1).norm_fraction("5") == Fraction(1, 5)
-    assert calls == [5.0, 5.0, "5"]
+    assert calls == [5.0, "5"]
     with pytest.raises(NotPrime):
         ExtVal.finite(1).norm_fraction(9)
 
 
 def test_norm_rat_at_zero():
-    assert padic_norm_rat(5, 0) == ext_val_rat(5, 0).norm_fraction(5) == 0
+    assert padic_norm_rat(5, 0) == PadicNumber.from_rational(5, 0, 1).norm().norm_fraction(5) == 0
     for bad in (4, 1, 561):
         with pytest.raises(NotPrime):
             padic_norm_rat(bad, 0)
