@@ -62,9 +62,11 @@ from .valuation import check_prime
 # below the root that unit.  A multiple root steps one level per node only
 # while 2j < k, since past that its reductions are lines, which jump, so
 # one chain spends about k/2 units, within the k - 1 the check before the
-# tree counts; several chains stop once their nodes pass the limit.  Seven
-# double roots mod 2**2000 ran 12 s before exiting 7 for their 2**1000
-# residues each, and are refused after 3.5 s (Python 3.11, 2-core host).
+# tree counts; several chains stop once their nodes pass the limit, also
+# chains that end in no root.  Seven double roots mod 2**2000 ran 12 s
+# before exiting 7 for their 2**1000 residues each, and are refused after
+# 3.5 s; three (x - a)**2 - 2**1801, with no root, printed none after 3.3 s
+# and are refused after 2.2 s (Python 3.11, 2-core host).
 DOMAIN_LIMIT = 10**7
 WORK_BITS = 2000
 WORK_LIMIT = 9 * 10**9
@@ -252,7 +254,7 @@ def _split(coeffs: list[int], p: int, k: int, modulus: int, r: int, j: int):
     return [(r + -t0 * pow(p, w0 - s, pm) * pow(t, -1, pm) % pm * pj, j + m)]
 
 
-def _root_tree(f: PadicPoly, k: int, unit: float = 0, budget: float = 0) -> list[tuple[int, int]]:
+def _root_tree(f: PadicPoly, k: int) -> list[tuple[int, int]]:
     """The balls r + p**j Z on which f vanishes mod p**k, disjoint, in no order.
 
     Starting from all of Z_p, each ball is either kept whole, when f
@@ -263,11 +265,17 @@ def _root_tree(f: PadicPoly, k: int, unit: float = 0, budget: float = 0) -> list
     root costs O(log k) nodes; a multiple root reduces to degree 2 or more
     and goes down one digit per node until its ball vanishes whole.  Each
     coefficient is reduced mod p**k once per call; the zero polynomial,
-    with no coefficients, is the constant 0.  Each node below the root
-    spends ``unit`` of ``budget``, and the one that overdraws it raises
-    :class:`DomainTooLarge`.
+    with no coefficients, is the constant 0.  The work model prices the
+    root's split and each node below it; :class:`DomainTooLarge` is raised
+    before the tree runs when k - 1 nodes and the split pass
+    ``WORK_LIMIT``, and at the node whose charge takes the sum past it.
     """
-    p, modulus = f.p, f.p**k
+    p, d, modulus = f.p, f.degree, f.p**k
+    lg = math.log2(p)
+    unit, split = k * lg * (16 * d + k), SPLIT_SCALE * d * min(p, d * lg) * lg
+    if (k - 1) * unit + split > WORK_LIMIT:
+        raise DomainTooLarge(f"degree {d} at {p}^{k} is past the work bound")
+    budget = WORK_LIMIT - split
     coeffs = [_residue(c, modulus) for c in reversed(f.coeffs)] or [0]
     balls, stack = [], [(0, 0)]
     while stack:
@@ -292,23 +300,19 @@ def enumerate_roots(f: PadicPoly, k: int) -> OracleReport:
     split ``SPLIT_SCALE`` d min(p, d log2(p)) log2(p), exceed
     ``WORK_LIMIT``, both before the tree runs; when the tree, charged
     k log2(p) (16 d + k) per node below the root, runs the charges plus
-    the split past ``WORK_LIMIT``, as several multiple roots can; or when
-    its balls hold more than ``DOMAIN_LIMIT`` residues, before they are
-    expanded.  To ask which roots lie in a ball, filter ``roots``, as
+    the split past ``WORK_LIMIT``, as several multiple roots or close
+    root pairs can, with few roots or none; or when its balls hold more
+    than ``DOMAIN_LIMIT`` residues, before they are expanded.  To ask
+    which roots lie in a ball, filter ``roots``, as
     :func:`padic.hensel.unique_in_neighborhood` does.
     """
-    p, d = f.p, f.degree
+    p = f.p
     if k < 1:
         raise ValueError("k must be a positive integer")
-    lg = math.log2(p)
-    bits = k * lg
-    if bits > WORK_BITS:
+    if k * math.log2(p) > WORK_BITS:
         raise DomainTooLarge(f"{p}^{k} is past the work bound of {WORK_BITS} bits")
-    unit, split = bits * (16 * d + k), SPLIT_SCALE * d * min(p, d * lg) * lg
-    if (k - 1) * unit + split > WORK_LIMIT:
-        raise DomainTooLarge(f"degree {d} at {p}^{k} is past the work bound")
     modulus = p**k
-    balls = _root_tree(f, k, unit, WORK_LIMIT - split)
+    balls = _root_tree(f, k)
     if sum(p ** (k - j) for _, j in balls) > DOMAIN_LIMIT:
         raise DomainTooLarge(f"f has more than {DOMAIN_LIMIT} roots mod {p}^{k}")
     # a single ball's residues are already ascending

@@ -67,17 +67,43 @@ def test_a_high_degree_is_refused_before_the_tree_runs():
         assert enumerate_roots(f, 12).roots
 
 
-def test_several_double_roots_are_refused_while_the_tree_runs():
+def _product(factors):
+    f = [Fraction(1)]
+    for factor in factors:
+        f = _poly_mul(f, [Fraction(c) for c in factor])
+    return f
+
+
+def _assert_refused_at_the_work_bound(f, k, nodes):
+    # the tree expands the root and then as many nodes as the budget left
+    # by the split pays for; the next one is refused before it splits
+    p, d, lg = f.p, f.degree, math.log2(f.p)
+    unit = k * lg * (16 * d + k)
+    budget = padic.oracle.WORK_LIMIT - padic.oracle.SPLIT_SCALE * d * min(p, d * lg) * lg
+    assert (k - 1) * unit < budget  # the check before the tree admits f
+    with time_limit(30), pytest.raises(DomainTooLarge, match=f"{p}\\^{k} ran past the work bound"):
+        enumerate_roots(f, k)
+    assert budget // unit <= len(nodes) - 1 <= budget // unit + 1
+
+
+def test_several_double_roots_are_refused_while_the_tree_runs(monkeypatch):
     # each double root costs one node per level and passes the check before
     # the tree alone; seven of them mod 2^2000 ran 12 s before the tree
     # charged its nodes, and then exited 7 only for the 2^1000 roots of each
     rng = random.Random(14)
-    f = [Fraction(1)]
-    for _ in range(7):
-        a = rng.getrandbits(2000)
-        f = _poly_mul(f, [Fraction(a * a), Fraction(-2 * a), Fraction(1)])
-    with time_limit(5), pytest.raises(DomainTooLarge, match="2\\^2000 ran past the work bound"):
-        enumerate_roots(PadicPoly(2, f), 2000)
+    a = [rng.getrandbits(2000) for _ in range(7)]
+    f = PadicPoly(2, _product((x * x, -2 * x, 1) for x in a))
+    _assert_refused_at_the_work_bound(f, 2000, _count_nodes(monkeypatch))
+
+
+def test_several_root_free_chains_are_refused_while_the_tree_runs(monkeypatch):
+    # (x - a)^2 - 2^1801 has no root mod 2^2000, but its ball around a
+    # reduces to a double root down to depth 900; three such factors
+    # printed no roots after 3.3 s before the tree charged its nodes
+    rng = random.Random(3)
+    a = [rng.getrandbits(2000) for _ in range(3)]
+    f = PadicPoly(2, _product((x * x - 2**1801, -2 * x, 1) for x in a))
+    _assert_refused_at_the_work_bound(f, 2000, _count_nodes(monkeypatch))
 
 
 def test_an_exponent_below_one_is_refused():
