@@ -32,7 +32,6 @@ from .hensel import (
     certificate_to_record,
     check_hypothesis,
     lift,
-    newton_step,
     unique_in_neighborhood,
     verify_certificate,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "enumerate_roots",
     "is_prime",
     "lift",
-    "newton_step",
     "padic_norm_rat",
     "padic_val_int",
     "padic_val_rat",

@@ -50,6 +50,14 @@ _EXIT_CODES = (
     ((PadicError, ValueError), EXIT_PARSE),
 )
 
+# the exponent of the largest power of p a command builds from its precision
+# option; lift bounds its own K
+_POWER_EXPONENT = {
+    "digits": lambda args: args.N,
+    "eval": lambda args: args.N,
+    "crosscheck": lambda args: args.k + oracle.CROSSCHECK_GUARD,
+}
+
 
 def _integer(text: str) -> int:
     if not _INTEGER_RE.fullmatch(text):
@@ -264,7 +272,11 @@ def main(argv: list[str] | None = None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.handler(check_prime(args.p), args)
+        p = check_prime(args.p)
+        if args.command in _POWER_EXPONENT:
+            # refuse a power past the modulus bound before anything builds it
+            hensel._require_fit(p, _POWER_EXPONENT[args.command](args))
+        return args.handler(p, args)
     except (PadicError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))

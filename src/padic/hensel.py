@@ -18,7 +18,9 @@ residual norm is squared each step) while ``nu(f'(a_n)) = e`` stays put.
 The root satisfies ``nu(root - a) = m - e`` and is the only root z with
 ``nu(z - a) > e``.
 
-Newton steps work at a doubling precision read off the measured
+Newton steps run only inside :func:`lift`, which records each iterate
+in the trace; no single step is public, and tests read the steps off
+the trace.  They work at a doubling precision read off the measured
 valuations.  Step 0 is the seed itself, whose ``v_0 = m`` the hypothesis
 measured; with ``v_n = nu(f(a_n))``, the update ``a_(n+1)`` is computed
 modulo ``p**w`` for ``w = min(2*v_n - e, k + e)``.  Cutting ``a_(n+1)``
@@ -323,29 +325,6 @@ def _step(p: int, a: int, u: int, v: int, h: int, e: int, w: int,
     inv = _unit_inverse(h, p, prec, inv, known)
     modulus = _power(p, prec)
     return (a - _power(p, v - e) * (u % modulus * inv % modulus)) % _power(p, w), inv
-
-
-def newton_step(f: PadicPoly, a_n: int, hyp: Hypothesis, k: int) -> int:
-    """One Newton update a_n - f(a_n)/f'(a_n), reduced modulo p**k.
-
-    Requires nu(f(a_n)) >= e + 1 so the quotient is an integer.  When
-    a_n is already a root modulo p**k the step is the identity.  A p**k
-    above ``2**MAX_MODULUS_BITS`` raises :class:`ValueError`.
-    """
-    p, e = f.p, hyp.e
-    _require_fit(p, k)
-    _require_room(k, e)
-    a_n %= _power(p, k)
-    ints, dints = f._cleared
-    val_f, u = _split(p, _horner(ints, a_n, 0), 0)
-    if val_f is None or val_f >= k:
-        return a_n
-    if val_f < e + 1:
-        raise ValueError(f"newton step needs nu(f(a_n)) > {e}, got {val_f}")
-    h = _derivative_unit(p, dints, a_n, e, k - val_f + e)
-    if h is None:
-        raise ValueError("derivative valuation at a_n does not match e")
-    return _step(p, a_n, u, val_f, h, e, k)[0]
 
 
 def lift(f: PadicPoly, a, k: int) -> HenselCertificate:

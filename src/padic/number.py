@@ -21,18 +21,22 @@ Every value goes through the one ``__init__``, which checks its fields
 (``p`` prime, ``v``, ``unit`` and ``prec`` ints, a unit residue in range
 and coprime to p, zeros without unit data) and then stores them in one
 step rather than through the frozen dataclass's per-field
-``object.__setattr__`` calls.  Public
-constructors, :meth:`~PadicNumber.from_record` and every operator result
-pass the same checks.
+``object.__setattr__`` calls.  Public constructors and every operator
+result pass the same checks.
+
+Equality is the one comparison a value known to finite precision
+supports: ``x == y`` when ``x - y`` vanishes modulo ``p**A``, ``A`` the
+lower absolute precision (see :meth:`PadicNumber.__eq__`).  It is not
+transitive, so a value has no hash.
 
 Where p is validated: every constructor stores the int that
 ``check_prime`` returns, not the caller's p, so a stored ``p`` is a
 prime int that downstream code may trust.  ``check_prime`` runs
-in ``__init__`` (the zero constructors and :meth:`~PadicNumber.from_record`
-go through it), in :meth:`~PadicNumber.from_rational`, which needs p
-before it embeds, and in ``DigitExpansion`` and ``PadicPoly``
-construction; :meth:`~PadicNumber.digits` builds its expansion through
-that same public constructor.  The valuations inside a value's
+in ``__init__`` (the zero constructors go through it), in
+:meth:`~PadicNumber.from_rational`, which needs p before it embeds, and
+in ``DigitExpansion`` and ``PadicPoly`` construction;
+:meth:`~PadicNumber.digits` builds its expansion through that same
+public constructor.  The valuations inside a value's
 construction take the checked p.  The operators and :meth:`PadicPoly.eval
 <padic.polynomial.PadicPoly.eval>` compute on plain ``(v, unit, prec)``
 triples, with ``None`` for the exact zero, and build one checked value
@@ -227,7 +231,7 @@ def rational_residue(q, modulus: int) -> int:
     return q.numerator * pow(d, -1, modulus) % modulus
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class PadicNumber:
     """An element of Q_p known to finite precision.
 
@@ -269,7 +273,7 @@ class PadicNumber:
 
     @classmethod
     def zero_at_least(cls, p, floor: int) -> "PadicNumber":
-        return cls(p, Form.ZERO_AT_LEAST, int(floor))
+        return cls(p, Form.ZERO_AT_LEAST, floor)
 
     @classmethod
     def from_rational(cls, p, q, prec: int = DEFAULT_PRECISION) -> "PadicNumber":
@@ -333,18 +337,6 @@ class PadicNumber:
             )
         return self.unit * _power(self.p, self.v) % _power(self.p, k)
 
-    def eq_to_precision(self, other: "PadicNumber", k: int) -> bool:
-        """Whether x = y (mod p**k); both operands must carry that precision."""
-        self._check_same_prime(other)
-        if self.abs_prec < k or other.abs_prec < k:
-            raise InsufficientPrecision(
-                f"operands not both known modulo {self.p}^{k}"
-            )
-        diff = self - other
-        if diff.form is Form.EXACT_ZERO:
-            return True
-        return diff.v >= k
-
     # ----- arithmetic ---------------------------------------------------
 
     def _check_same_prime(self, other: "PadicNumber"):
@@ -396,6 +388,24 @@ class PadicNumber:
         if isinstance(other, (int, Fraction)):
             return -self + other
         return NotImplemented
+
+    def __eq__(self, other):
+        """Whether x - y vanishes modulo p**A, A the lower absolute precision.
+
+        Two exact zeros are equal, an int or Fraction is embedded as ``+``
+        embeds it, and a value over another prime, or of another type, is
+        not equal.  The relation is not transitive, so a value has no hash:
+
+        >>> one = PadicNumber.from_rational(5, 1, 1)
+        >>> six, eleven = (PadicNumber.from_rational(5, q, 2) for q in (6, 11))
+        >>> one == six, one == eleven, six == eleven
+        (True, True, False)
+        """
+        if isinstance(other, (int, Fraction)):
+            other = self._embed_for_add(other)
+        elif not isinstance(other, PadicNumber):
+            return NotImplemented
+        return self.p == other.p and self._add(-other).form is not Form.UNIT
 
     def _mul(self, other: "PadicNumber") -> "PadicNumber":
         self._check_same_prime(other)
@@ -468,16 +478,6 @@ class PadicNumber:
             "unit": str(self.unit),
             "N": self.prec,
         }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "PadicNumber":
-        return cls(
-            record["p"],
-            Form(record["form"]),
-            int(record["v"]),
-            int(record["unit"]),
-            int(record["N"]),
-        )
 
     def __str__(self) -> str:
         if self.form is Form.EXACT_ZERO:

@@ -76,6 +76,8 @@ SPLIT_SCALE = 50
 # past it: a scan costs about p * deg steps and the gcd deg**2 log2(p),
 # and scripts/root_split_timings.py put the crossover there
 _SCAN_LIMIT = 256
+# crosscheck_arith embeds its operands this many digits past k
+CROSSCHECK_GUARD = 8
 
 _OPS = dict(add=operator.add, sub=operator.sub, mul=operator.mul, div=operator.truediv)
 
@@ -348,7 +350,7 @@ def crosscheck_arith(p, k: int, trials: int, rng_seed: int = 0) -> CrosscheckRep
     if k < 1:
         raise ValueError("k must be a positive integer")
     modulus = p**k
-    prec = k + 8
+    prec = k + CROSSCHECK_GUARD
     rng = random.Random(rng_seed)
 
     third = Fraction(1, 3)

@@ -74,27 +74,6 @@ class PadicPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "PadicPoly") -> "PadicPoly":
-        self._check_compatible(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (Fraction(0),) * (n - len(self.coeffs))
-        b = other.coeffs + (Fraction(0),) * (n - len(other.coeffs))
-        return PadicPoly(self.p, tuple(x + y for x, y in zip(a, b)))
-
-    def __mul__(self, other: "PadicPoly") -> "PadicPoly":
-        self._check_compatible(other)
-        if self.is_zero or other.is_zero:
-            return PadicPoly(self.p, ())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return PadicPoly(self.p, tuple(out))
-
-    def _check_compatible(self, other: "PadicPoly"):
-        if self.p != other.p:
-            raise ValueError("polynomials over different primes")
-
     def derivative(self) -> "PadicPoly":
         """Formal derivative: coefficient i becomes (i+1) * coefficient_{i+1}."""
         return PadicPoly(

@@ -108,15 +108,19 @@ class ExtVal:
     a norm known only to be at most ``p**(-A)``.  Order comparisons follow
     the true valuation: a comparison answers only when every pair drawn
     from the two intervals agrees; otherwise
-    :class:`IndeterminateValuation` is raised rather than guessing.
+    :class:`IndeterminateValuation` is raised rather than guessing.  Each
+    bound is an int or inf; anything else raises :class:`TypeError`.
     """
 
     low: int | float
     high: int | float
 
+    def __post_init__(self):
+        if not all(type(end) is int or end == math.inf for end in (self.low, self.high)):
+            raise TypeError(f"bounds must be ints or inf: {self.low!r}, {self.high!r}")
+
     @classmethod
     def finite(cls, v: int) -> "ExtVal":
-        v = int(v)
         return cls(v, v)
 
     @classmethod
@@ -125,18 +129,7 @@ class ExtVal:
 
     @classmethod
     def zero_at_least(cls, floor: int) -> "ExtVal":
-        return cls(int(floor), math.inf)
-
-    def norm_fraction(self, p) -> Fraction:
-        """The norm ``p**(-v)`` encoded by this value, as an exact rational."""
-        p = check_prime(p)
-        if self.low == math.inf:
-            return Fraction(0)
-        if self.low == self.high:
-            return Fraction(p) ** (-self.low)
-        raise IndeterminateValuation(
-            f"norm is only bounded above by {p}^{-self.low}"
-        )
+        return cls(floor, math.inf)
 
     def _decide(self, other: "ExtVal", op) -> bool:
         # an order relation holds for every pair drawn from two intervals

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from padic import Form, PadicNumber
+from padic import PadicNumber
 
 PRIMES = (2, 3, 5, 7, 13)
 
@@ -35,19 +35,9 @@ def integral_rationals(p: int, max_mag: int = 999) -> st.SearchStrategy[Fraction
     )
 
 
-def common_precision(*values: PadicNumber) -> int | None:
-    """Largest exponent at which all values are known; None if all exact."""
-    finite = [v.abs_prec for v in values if v.form is not Form.EXACT_ZERO]
-    return min(finite) if finite else None
-
-
-def assert_same_value(x: PadicNumber, y: PadicNumber):
-    """Assert two values agree at their common absolute precision."""
-    k = common_precision(x, y)
-    if k is None:
-        assert x.form is Form.EXACT_ZERO and y.form is Form.EXACT_ZERO
-        return
-    assert x.eq_to_precision(y, k), f"{x!r} != {y!r} mod p^{k}"
+def fields(x: PadicNumber) -> tuple:
+    """The stored representation, which ``==`` reads only up to precision."""
+    return x.p, x.form, x.v, x.unit, x.prec
 
 
 @contextmanager

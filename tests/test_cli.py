@@ -3,6 +3,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from conftest import double_root_times_cofactor, time_limit
 from padic import InternalBoundViolation, cli, lift, parse_poly, valuation
 from padic.hensel import certificate_from_record
@@ -420,3 +422,19 @@ def test_lift_refuses_a_modulus_past_the_bound(capsys):
             capsys, "lift", "-p", "5", "-K", "86136", "--poly", "x^2 - 6", "--seed", "1"
         )
     assert code == 2 and out == "" and "exceeds the modulus bound" in err
+
+
+@pytest.mark.parametrize("argv, first", [
+    (("digits", "-p", "5", "-N", "{}", "1/3"), 86136),
+    (("eval", "-p", "5", "-N", "{}", "--poly", "x^2 - 6", "1"), 86136),
+    (("crosscheck", "-p", "5", "-K", "{}", "--trials", "1"), 86128),
+], ids=["digits", "eval", "crosscheck"])
+def test_a_precision_past_the_modulus_bound_exits_2(capsys, argv, first):
+    # 5^86136 is the least power of 5 above 2^MAX_MODULUS_BITS, and
+    # crosscheck embeds at K + 8 digits; a power of 5^(10^7) alone takes
+    # seconds and hundreds of MB to build and print
+    for exponent in (first, 10**7, 10**8):
+        with time_limit(1):
+            code, out, err = run_cli(capsys, *(a.format(exponent) for a in argv))
+        assert code == 2 and out == ""
+        assert f"5^{exponent + 86136 - first} exceeds the modulus bound" in err

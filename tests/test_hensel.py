@@ -27,7 +27,6 @@ from padic import (
     check_hypothesis,
     enumerate_roots,
     lift,
-    newton_step,
     padic_val_rat,
     parse_poly,
     rational_residue,
@@ -71,35 +70,36 @@ def test_check_hypothesis_degenerate():
 
 
 def test_newton_step_examples():
-    f5 = parse_poly("x^2 - 6", 5)
-    hyp5 = check_hypothesis(f5, 1)
-    a1 = newton_step(f5, 1, hyp5, 4)
-    assert a1 == 316 and a1 % 25 == 16
+    # lift's step 1 is the Newton update 1 - f(1)/f'(1), read modulo the
+    # step's p^w, w = min(2 nu(f(1)) - e, k + e), and reported mod p^k
+    cert = lift(parse_poly("x^2 - 6", 5), 1, 4)  # w = 2
+    assert rational_residue(1 - F(1 - 6, 2), 5**4) == 316
+    assert [s.residue for s in cert.trace[:2]] == [1, 316 % 25] == [1, 16]
 
-    f2 = parse_poly("x^2 - 17", 2)
-    hyp2 = check_hypothesis(f2, 1)
-    assert newton_step(f2, 1, hyp2, 6) == 9
+    cert = lift(parse_poly("x^2 - 17", 2), 1, 6)  # w = 7
+    assert 1 - F(1 - 17, 2) == 9 and cert.trace[1].residue == 9
     assert 9 * 9 % 64 == 17
 
-    # a residue that is already a root stays put
-    assert newton_step(f5, 516, hyp5, 4) == 516
+    # a seed that is already a root modulo p^(k + e) stays put
+    cert = lift(parse_poly("x^2 - 6", 5), 516, 4)
+    assert [(s.residue, s.val_f) for s in cert.trace] == [(516, 4)] and cert.root == 516
 
 
 def test_newton_step_precision_exhausted():
     f = parse_poly("x^2 - 17", 2)
-    hyp = check_hypothesis(f, 1)
-    with pytest.raises(PrecisionExhausted):
-        newton_step(f, 1, hyp, 1)
+    with pytest.raises(PrecisionExhausted, match=r"no room below nu\(f'\(a\)\) = 1"):
+        lift(f, 1, 1)
 
 
 def test_newton_step_rejects_an_undefined_update():
+    # nu(f(2)) = 0 does not exceed e = 0, so no update from 2 is defined
     f5 = parse_poly("x^2 - 6", 5)
-    with pytest.raises(ValueError, match=r"needs nu\(f\(a_n\)\) > 0, got 0"):
-        newton_step(f5, 2, check_hypothesis(f5, 1), 4)
+    with pytest.raises(HypothesisFailed, match=r"nu\(f\(a\)\) = 0 must exceed"):
+        lift(f5, 2, 4)
     # nu(f(1)) = 4 clears e = 0, but nu(f'(1)) = 1 is not the claimed e
     f2 = parse_poly("x^2 - 17", 2)
-    with pytest.raises(ValueError, match="derivative valuation"):
-        newton_step(f2, 1, Hypothesis(0, 4, 4), 6)
+    result = verify_certificate(dataclasses.replace(lift(f2, 1, 6), hypothesis=Hypothesis(0, 4, 4)))
+    assert not result and result.failures[0] == "hypothesis_e"
 
 
 def test_lift_sqrt6():
@@ -603,9 +603,9 @@ def _seeded_lifts():
             for k in (1, 3, 8, 40, 200):
                 a, t = rng.randrange(p**2), rng.randint(1, 3)
                 c0, c1 = (p**v * (rng.randrange(p**3) * p + 1) for v in (2 * e + t, e))
-                x = PadicPoly(p, (-a, 1))
-                f = (PadicPoly(p, (c0,)) + PadicPoly(p, (c1,)) * x
-                     + PadicPoly(p, (rng.randrange(p**3),)) * x * x + x * x * x)
+                c2 = rng.randrange(p**3)
+                f = PadicPoly(p, (c0 - c1 * a + c2 * a**2 - a**3, c1 - 2 * c2 * a + 3 * a**2,
+                                  c2 - 3 * a, 1))
                 if k > e:
                     yield f, a, k
 
@@ -855,8 +855,6 @@ def test_a_modulus_just_past_the_bound_is_refused(poly, p, k):
     with time_limit(5):
         with pytest.raises(ValueError, match="exceeds the modulus bound"):
             lift(f, 1, k)
-        with pytest.raises(ValueError, match="exceeds the modulus bound"):
-            newton_step(f, 1, cert.hypothesis, k)
         with pytest.raises(ValueError, match="exceeds the modulus bound"):
             certificate_from_record({**certificate_to_record(cert), "K": k})
         result = verify_certificate(dataclasses.replace(cert, k=k))

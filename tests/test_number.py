@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_value, nonzero_rationals, primes, rationals, time_limit
+from conftest import fields, nonzero_rationals, primes, rationals, time_limit
 from padic import (
     DEFAULT_PRECISION,
     DigitExpansion,
@@ -18,6 +19,7 @@ from padic import (
     PadicNumber,
     PadicPoly,
     ZeroHasNoExpansion,
+    crosscheck_arith,
     is_prime,
     padic_norm_rat,
     padic_val_int,
@@ -53,7 +55,7 @@ def test_from_rational_one_third():
 def test_norm_extension(p, q, n):
     x = PadicNumber.from_rational(p, q, n)
     assert x.norm() == ExtVal.finite(padic_val_rat(p, q))
-    assert x.norm().norm_fraction(p) == padic_norm_rat(p, q)
+    assert F(p) ** -x.norm().low == padic_norm_rat(p, q)
 
 
 def test_add_full_cancellation():
@@ -72,25 +74,25 @@ def test_add_third_panel():
 
 def test_add_exact_zero_identity():
     x = PadicNumber.from_rational(7, F(3, 2), 4)
-    assert x + PadicNumber.exact_zero(7) == x
-    assert PadicNumber.exact_zero(7) + x == x
+    assert fields(x + PadicNumber.exact_zero(7)) == fields(x)
+    assert fields(PadicNumber.exact_zero(7) + x) == fields(x)
 
 
 def test_mul_one_third_times_three():
     x = PadicNumber.from_rational(5, F(1, 3), 6)
     y = PadicNumber.from_rational(5, 3, 6)
-    assert x * y == PadicNumber(5, Form.UNIT, 0, 1, 6)
+    assert fields(x * y) == fields(PadicNumber(5, Form.UNIT, 0, 1, 6))
 
 
 def test_inverse_of_p():
     x = PadicNumber.from_rational(7, 7, 4)
-    assert x.inverse() == PadicNumber(7, Form.UNIT, -1, 1, 4)
+    assert fields(x.inverse()) == fields(PadicNumber(7, Form.UNIT, -1, 1, 4))
 
 
 @given(primes, nonzero_rationals(), st.integers(2, 24))
 def test_self_division_is_one(p, q, n):
     x = PadicNumber.from_rational(p, q, n)
-    assert x / x == PadicNumber(p, Form.UNIT, 0, 1, n)
+    assert fields(x / x) == fields(PadicNumber(p, Form.UNIT, 0, 1, n))
 
 
 def test_inverse_errors():
@@ -145,7 +147,8 @@ def test_digits_go_through_the_public_constructor_which_checks_p(monkeypatch):
     assert expansion == public and hash(expansion) == hash(public)
     assert repr(expansion) == repr(public) and str(expansion) == str(public)
     assert type(expansion.p) is int
-    assert PadicNumber.from_rational(2, expansion.value(), len(expansion.digits)) == x
+    back = PadicNumber.from_rational(2, expansion.value(), len(expansion.digits))
+    assert fields(back) == fields(x)
     for bad, error in (
         ((4, 0, (1,)), NotPrime),
         ((5, 0, ()), ValueError),
@@ -162,10 +165,11 @@ def test_digits_go_through_the_public_constructor_which_checks_p(monkeypatch):
 def test_digit_round_trip(p, q, n):
     x = PadicNumber.from_rational(p, q, n)
     expansion = x.digits()
-    assert PadicNumber.from_rational(p, expansion.value(), len(expansion.digits)) == x
+    back = PadicNumber.from_rational(p, expansion.value(), len(expansion.digits))
+    assert fields(back) == fields(x)
     # re-embedding the truncated series value reproduces x to its precision
     y = PadicNumber.from_rational(p, expansion.value(), n)
-    assert y.eq_to_precision(x, x.abs_prec)
+    assert y.abs_prec == x.abs_prec and y == x
 
 
 def test_reduce_mod_examples():
@@ -245,28 +249,95 @@ def test_integer_closure(p, a, c, b, d):
 
 
 def test_eq_to_precision():
-    x = PadicNumber.from_rational(5, 1, 4)
+    # 1 and 1 + 5^3 agree mod 5^3 but not mod 5^4: == reads the lower precision
     y = PadicNumber.from_rational(5, 1 + 5**3, 4)
-    assert x.eq_to_precision(y, 3)
-    assert not x.eq_to_precision(y, 4)
-    with pytest.raises(InsufficientPrecision):
-        x.eq_to_precision(y, 5)
+    assert PadicNumber.from_rational(5, 1, 3) == y and y == PadicNumber.from_rational(5, 1, 3)
+    assert PadicNumber.from_rational(5, 1, 4) != y
+    assert PadicNumber.from_rational(5, 1, 9) != y
+    assert PadicNumber.zero_at_least(5, 3) == y - 1 and PadicNumber.zero_at_least(5, 4) != y - 1
 
 
 def test_an_exact_zero_difference_is_equal_to_any_precision():
-    # the exact zero has v = 0, so only its own branch makes it equal mod p^k
+    # the exact zero has v = 0, so only its own form makes it equal
     zero = PadicNumber.exact_zero(5)
     assert (zero - zero).form is Form.EXACT_ZERO
+    assert zero == zero and zero == 0 and 0 == zero and zero == F(0)
     for k in (1, 40, 10**6):
-        assert zero.eq_to_precision(zero, k)
+        assert zero == PadicNumber.zero_at_least(5, k)
+        assert zero != PadicNumber(5, Form.UNIT, k - 1, 1, 1)
+
+
+def test_equality_reads_the_lower_absolute_precision():
+    one = PadicNumber.from_rational(5, 1, 5)
+    assert one == PadicNumber.from_rational(5, 1, 6) == one
+    assert one == PadicNumber.from_rational(5, 1 + 5**5, 9)
+    assert one != PadicNumber.from_rational(5, 1 + 5**4, 9)
+    assert one == 1 and 1 == one and one == F(1 + 5**7, 1 + 5**9) and one != F(1, 2)
+    assert not one != 1 and one != 2 and 2 != one
+    # not transitive: 1 + O(5) equals 6 + O(5^2) and 11 + O(5^2), which differ
+    coarse, six, eleven = (PadicNumber.from_rational(5, q, n) for q, n in ((1, 1), (6, 2), (11, 2)))
+    assert coarse == six and coarse == eleven and six != eleven
+    # an exact zero against a zero known mod p^A, and a unit of valuation A
+    zero = PadicNumber.exact_zero(5)
+    assert zero == PadicNumber.zero_at_least(5, 3) == zero
+    assert PadicNumber.zero_at_least(5, 3) == PadicNumber.from_rational(5, 5**3, 2)
+    assert zero != PadicNumber.from_rational(5, 5**3, 2) and zero != 5**3
+    # another prime or another type is never equal
+    assert PadicNumber.from_rational(5, 1, 4) != PadicNumber.from_rational(7, 1, 4)
+    assert PadicNumber.exact_zero(5) != PadicNumber.exact_zero(7)
+    for other in (1.0, "1", None, (1,)):
+        assert one != other and not one == other
+    for x in (one, zero, PadicNumber.zero_at_least(5, 3)):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(x)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from((2, 3, 5, 7, 101)).flatmap(
+    lambda p: st.tuples(padic_operands(p), st.one_of(padic_operands(p), exact_summands(p)))))
+def test_equality_is_a_difference_that_vanishes_at_the_lower_precision(case):
+    x, y = case
+    diff = x - y
+    floor = min(x.abs_prec, getattr(y, "abs_prec", math.inf))
+    equal = diff.form is not Form.UNIT or diff.v >= floor
+    assert (x == y) is (y == x) is equal and (x != y) is (not equal)
+
+
+@settings(max_examples=300)
+@given(primes, rationals(), st.integers(-4, 14), rationals(), st.integers(1, 12),
+       st.integers(1, 12))
+def test_equality_matches_the_rationals_it_embeds(p, q, j, s, n, m):
+    # r = q + p^j s is close to q when j is large
+    r = q + F(p) ** j * s
+    x, y = PadicNumber.from_rational(p, q, n), PadicNumber.from_rational(p, r, m)
+    floor = min(x.abs_prec, y.abs_prec)
+    assert (x == y) is (q == r or padic_val_rat(p, q - r) >= floor)
+    assert (x == r) is (r == x) is (q == r or padic_val_rat(p, q - r) >= x.abs_prec)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PadicNumber.zero_at_least(5, 2.7),
+    lambda: PadicNumber.zero_at_least(5, "3"),
+    lambda: PadicNumber.zero_at_least(5, True),
+    lambda: PadicNumber(5, Form.ZERO_AT_LEAST, 2.7),
+    lambda: ExtVal.finite(1.5),
+    lambda: ExtVal.finite("3"),
+    lambda: ExtVal.zero_at_least(2.7),
+    lambda: ExtVal(1, 2.5),
+], ids=["zero_at_least 2.7", "zero_at_least '3'", "zero_at_least True", "ZERO_AT_LEAST 2.7",
+        "finite 1.5", "finite '3'", "ExtVal.zero_at_least 2.7", "ExtVal 2.5"])
+def test_a_non_int_exponent_is_refused(build):
+    # int() would read 2.7 as 2 and 1.5 as 1, an exponent the caller did not give
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_coercion_matches_explicit_embedding():
     x = PadicNumber.from_rational(5, F(2, 3), 6)
-    assert_same_value(x + 1, x + PadicNumber.from_rational(5, 1, 6))
-    assert_same_value(3 * x, PadicNumber.from_rational(5, 3, 6) * x)
-    assert_same_value(x - F(1, 2), x - PadicNumber.from_rational(5, F(1, 2), 6))
-    assert_same_value(1 / x, PadicNumber.from_rational(5, F(3, 2), 6))
+    assert x + 1 == x + PadicNumber.from_rational(5, 1, 6)
+    assert 3 * x == PadicNumber.from_rational(5, 3, 6) * x
+    assert x - F(1, 2) == x - PadicNumber.from_rational(5, F(1, 2), 6)
+    assert 1 / x == PadicNumber.from_rational(5, F(3, 2), 6)
     # an exact operand must not cost precision
     assert (x + 1).abs_prec == x.abs_prec
     assert (x * 3).prec == x.prec
@@ -318,9 +389,9 @@ def test_exact_summand_adds_like_its_tightest_embedding(case):
 
 def test_pow():
     x = PadicNumber.from_rational(5, F(2, 3), 6)
-    assert_same_value(x**3, x * x * x)
-    assert x**0 == PadicNumber(5, Form.UNIT, 0, 1, 6)
-    assert_same_value(x**-2, (x * x).inverse())
+    assert x**3 == x * x * x
+    assert fields(x**0) == fields(PadicNumber(5, Form.UNIT, 0, 1, 6))
+    assert x**-2 == (x * x).inverse()
 
 
 def test_record_round_trip():
@@ -329,7 +400,10 @@ def test_record_round_trip():
         PadicNumber.exact_zero(5),
         PadicNumber.zero_at_least(5, 4),
     ):
-        assert PadicNumber.from_record(x.to_record()) == x
+        # a record holds every field, so the constructor rebuilds the value from it
+        r = x.to_record()
+        back = PadicNumber(r["p"], Form(r["form"]), r["v"], int(r["unit"]), r["N"])
+        assert fields(back) == fields(x)
 
 
 def test_str_forms():
@@ -357,20 +431,17 @@ def test_exact_zero_validation():
     for v in (-3, 2):
         with pytest.raises(ValueError):
             PadicNumber(5, Form.EXACT_ZERO, v)
-        with pytest.raises(ValueError):
-            PadicNumber.from_record({"p": 5, "form": "zero", "v": v, "unit": "0", "N": 0})
     for form in (Form.EXACT_ZERO, Form.ZERO_AT_LEAST):
         for unit, prec in ((1, 0), (0, 3)):  # zero forms carry no unit data
             with pytest.raises(ValueError):
                 PadicNumber(5, form, 0, unit, prec)
-    zero = {"p": 5, "form": "zero", "v": 0, "unit": "0", "N": 0}
-    assert PadicNumber.from_record(zero) == PadicNumber.exact_zero(5)
+    assert fields(PadicNumber(5, Form.EXACT_ZERO, 0, 0, 0)) == fields(PadicNumber.exact_zero(5))
 
 
 def _assert_public(r):
-    """r is a value the public constructor accepts and compares equal to."""
+    """r is a value the public constructor accepts and rebuilds field for field."""
     assert type(r) is PadicNumber
-    assert PadicNumber(r.p, r.form, r.v, r.unit, r.prec) == r
+    assert fields(PadicNumber(r.p, r.form, r.v, r.unit, r.prec)) == fields(r)
 
 
 # values of every form: units of any valuation, both zeros
@@ -428,7 +499,7 @@ def test_from_rational_int_matches_fraction():
         for n in list(range(-60, 61)) + specials:
             for prec in (1, 2, 8, 33):
                 got = PadicNumber.from_rational(p, n, prec)
-                assert got == PadicNumber.from_rational(p, Fraction(n), prec)
+                assert fields(got) == fields(PadicNumber.from_rational(p, Fraction(n), prec))
                 _assert_public(got)
 
 
@@ -517,7 +588,10 @@ def test_mixed_forms(compute, expected):
         assert str(info.value) == str(expected)
     else:
         result = compute()
-        assert result == expected and type(result) is type(expected)
+        assert type(result) is type(expected)
+        if type(result) is PadicNumber:
+            result, expected = fields(result), fields(expected)
+        assert result == expected
 
 
 # ----- one validated prime per value, cached powers ------------------------
@@ -551,7 +625,6 @@ def test_constructors_store_the_int_check_prime_returns(p):
         PadicNumber.exact_zero(p),
         PadicNumber.zero_at_least(p, 2),
         PadicNumber.from_rational(p, 7, 4),
-        PadicNumber.from_record({"p": p, "form": "unit", "v": 0, "unit": "1", "N": 2}),
         PadicPoly(p, (-6, 0, 1)),
         parse_poly("x^2 - 6", p),
         DigitExpansion(p, 0, (1, 2)),
@@ -582,7 +655,7 @@ _P_ENTRIES = [
     lambda p: PadicNumber.exact_zero(p),
     lambda p: PadicNumber.zero_at_least(p, 2),
     lambda p: PadicNumber(p, Form.UNIT, 0, 1, 2),
-    lambda p: PadicNumber.from_record({"p": p, "form": "unit", "v": 0, "unit": "1", "N": 2}),
+    lambda p: crosscheck_arith(p, 1, 1),
     lambda p: DigitExpansion(p, 0, (1,)),
     lambda p: padic_val_int(p, 12),
     lambda p: padic_val_rat(p, Fraction(12, 7)),

@@ -115,13 +115,6 @@ def test_ext_val_comparisons_answer_exactly_when_every_valuation_agrees():
                 op(a, b)
 
 
-def test_ext_val_norm_fraction():
-    assert ExtVal.finite(-3).norm_fraction(2) == 8
-    assert ExtVal.exact_zero().norm_fraction(5) == 0
-    with pytest.raises(IndeterminateValuation):
-        ExtVal.zero_at_least(2).norm_fraction(5)
-
-
 def test_norm_of_each_form_is_its_ext_val():
     assert PadicNumber.exact_zero(5).norm() == ExtVal.exact_zero()
     assert PadicNumber.zero_at_least(5, -3).norm() == ExtVal.zero_at_least(-3)
@@ -132,11 +125,15 @@ def test_norm_of_each_form_is_its_ext_val():
 
 @given(primes, rationals())
 def test_norm_rat_is_the_norm_of_its_ext_val(p, q):
-    assert padic_norm_rat(p, q) == PadicNumber.from_rational(p, q, 1).norm().norm_fraction(p)
+    norm = PadicNumber.from_rational(p, q, 1).norm()
+    if q:
+        assert norm.low == norm.high and padic_norm_rat(p, q) == Fraction(p) ** -norm.low
+    else:
+        assert norm == ExtVal.exact_zero() and padic_norm_rat(p, q) == 0
     assert padic_val_rat(p, q) == (PadicNumber.from_rational(p, q, 1).v if q else 0)
 
 
-def test_a_norm_checks_its_prime_once_and_norm_fraction_its_own(monkeypatch):
+def test_a_norm_checks_its_prime_once(monkeypatch):
     # padic_norm_rat reads the valuation itself, so it checks p once
     calls = []
 
@@ -147,14 +144,11 @@ def test_a_norm_checks_its_prime_once_and_norm_fraction_its_own(monkeypatch):
     monkeypatch.setattr(valuation, "check_prime", counting)
     assert padic_norm_rat(5.0, Fraction(3, 25)) == 25
     assert calls == [5.0]
-    assert ExtVal.finite(1).norm_fraction("5") == Fraction(1, 5)
-    assert calls == [5.0, "5"]
-    with pytest.raises(NotPrime):
-        ExtVal.finite(1).norm_fraction(9)
 
 
 def test_norm_rat_at_zero():
-    assert padic_norm_rat(5, 0) == PadicNumber.from_rational(5, 0, 1).norm().norm_fraction(5) == 0
+    assert padic_norm_rat(5, 0) == 0
+    assert PadicNumber.from_rational(5, 0, 1).norm() == ExtVal.exact_zero()
     for bad in (4, 1, 561):
         with pytest.raises(NotPrime):
             padic_norm_rat(bad, 0)
