@@ -1,8 +1,8 @@
 """Command-line surface: valuations, norms, digit expansions, lifts, oracle.
 
-Exit codes: 0 ok, 2 parse/argument error, 3 non-prime p, 4 zero has no
-expansion, 5 lifting hypothesis failed, 6 internal bound violation,
-7 scan domain too large.
+Exit codes: 0 ok, 1 crosscheck found a mismatch, 2 parse/argument error,
+3 non-prime p, 4 zero has no expansion, 5 lifting hypothesis failed,
+6 internal bound violation, 7 past the oracle's work bound or output bound.
 """
 
 from __future__ import annotations

@@ -5,23 +5,24 @@ under test, ``check_prime`` and ``DomainTooLarge``, and reads residues and
 p-integrality off numerators and denominators.  Roots are found by a tree
 of balls r + p**j Z (``_root_tree``), the representation of Kopp, Randall,
 Rojas and Zhu (root counting in prime power rings) and of Berthomieu,
-Lecerf and Quintin (root finding over local rings).  A ball on which f
-vanishes mod p**k is kept whole (the s >= k collapse), so a double root
-or the zero polynomial costs one ball rather than one node per residue.
-Any other ball is split only into the children on which f, divided by
-the largest power of p that divides it on the ball, has a root mod p.
-Where that reduction is a line, the Taylor terms of degree 2 and up
-vanish mod p**min(k, 2j), so the line is solved to every digit that
-bound allows and the tree jumps there: a simple root costs O(log k)
-nodes, and a multiple root one node per level until its ball vanishes.
-Nothing in this needs Hensel's hypothesis or shares code or state with
-the lifter, so it is exact for any p-integral f, and its work grows with
-the number of balls rather than with p**k.  ``enumerate_roots`` refuses,
-with ``DomainTooLarge``, a k log2(p) above ``WORK_BITS``, a degree or a
-tree whose modelled work passes ``WORK_LIMIT``, and balls that hold more
-than ``DOMAIN_LIMIT`` residues.  The tuple of roots is built
-from the balls at the end.  Ring operations are cross-checked against
-plain rational arithmetic.  The result is deterministic and sorted.
+Lecerf and Quintin (root finding over local rings): each node carries
+g(t) = f(r + p**j t) / p**s mod p**(k - s), s as large as p divides.  A
+ball on which g vanishes is kept whole, so a double root or the zero
+polynomial costs one ball rather than one node per residue.  A simple
+root of g mod p has exactly one root of g above it, which Newton's method
+finds inside the node; only a multiple root mod p gets a child, one digit
+deeper, whose g is g(t + p u).  So a simple root costs no node of its own
+and a multiple root one node per level until its ball vanishes.  The
+Newton steps read g and g' off the tree's own Taylor expansion of g, and
+nothing in this needs Hensel's hypothesis on f or shares code or state
+with the lifter, so it is exact for any p-integral f, and its work grows
+with the number of balls rather than with p**k.  ``enumerate_roots``
+refuses, with ``DomainTooLarge``, a k log2(p) above ``WORK_BITS``, a
+degree or a tree whose modelled work passes ``WORK_LIMIT``, and balls
+that hold more than ``DOMAIN_LIMIT`` residues.  The tuple of roots is
+built from the balls at the end.  Ring operations are cross-checked
+against plain rational arithmetic.  The result is deterministic and
+sorted.
 
 numpy is imported but unused: the benchmark harness reads
 ``sys.modules["numpy"]`` after every workload (``perfbench/worker.py``),
@@ -45,28 +46,27 @@ from .polynomial import PadicPoly
 from .valuation import check_prime
 
 # enumerate_roots expands its balls into at most DOMAIN_LIMIT residues, and
-# takes on k log2(p) up to WORK_BITS: a double root still goes down one
-# digit per node, each stripping about j digits from k-digit residues, and
-# (x - a)**2 mod 2**2000 took 1.2 s.  It also refuses a degree d with
-# (k - 1) k log2(p) (16 d + k) above WORK_LIMIT: a double root costs a node
-# per level below the first, each of 3 synthetic divisions of d + 1
-# residues and a strip of about 3j digits, and (x - a)**2 h with deg h =
-# d - 2 fits 1.7e-10 s per unit of that product at p = 2: 0.43 / 1.63 s at
-# d = 1000, 2**400 / d = 20, 2**2000.  The limit is about 1.5 s of it.
-# The root's split mod p adds SPLIT_SCALE d min(p, d log2(p)) log2(p): a
-# scan of p residues or a gcd of about d log2(p) steps, each of d steps on
-# log2(p)-bit residues.  On random dense f at k = 1 one unit of that took
-# 30-52 of the units above at p = 101 to 10007 (scans, degree 1000-10000)
-# and 41-84 at p = 99991 to 2**61 - 1 (gcds, degree 25-1000); degree 200
-# at 2**61 - 1 took 1.6 s, 82 % of the limit.  The tree charges each node
-# below the root that unit.  A multiple root steps one level per node only
-# while 2j < k, since past that its reductions are lines, which jump, so
-# one chain spends about k/2 units, within the k - 1 the check before the
-# tree counts; several chains stop once their nodes pass the limit, also
-# chains that end in no root.  Seven double roots mod 2**2000 ran 12 s
-# before exiting 7 for their 2**1000 residues each, and are refused after
-# 3.5 s; three (x - a)**2 - 2**1801, with no root, printed none after 3.3 s
-# and are refused after 2.2 s (Python 3.11, 2-core host).
+# takes on k log2(p) up to WORK_BITS.  That bound no longer guards a node's
+# own cost: (x - a)**2 mod 2**2000, one node per level, ends in 0.02 s.  It
+# bounds the per-node unit below, which grows with k log2(p) but prices a
+# node's residues linearly in their bits and was fit at 2000 bits at most
+# (a FOUND line in CHANGES.md).  The tree also refuses a degree d with
+# (k - 1) k log2(p) (16 d + k) above WORK_LIMIT, where one unit is a node
+# below the root: fit when each such node of (x - a)**2 h, deg h = d - 2,
+# made 3 synthetic divisions of d + 1 residues mod p**k, at 1.7e-10 s per
+# unit at p = 2, so the limit was about 1.5 s.  The root's split mod p adds
+# SPLIT_SCALE d min(p, d log2(p)) log2(p): a scan of p residues or a gcd
+# of about d log2(p) steps, each of d steps on log2(p)-bit residues.  On
+# random dense f at k = 1 one unit of that took 30-52 of the units above
+# at p = 101 to 10007 (scans, degree 1000-10000) and 41-84 at p = 99991
+# to 2**61 - 1 (gcds, degree 25-1000); degree 200 at 2**61 - 1 took 1.6 s,
+# 82 % of the limit.  The tree charges each node below the root one unit
+# as it runs.  A double root steps one level per node for about k/2
+# nodes, within the k - 1 the check before the tree counts; several
+# chains stop once their nodes pass the limit, also chains that end in no
+# root: seven double roots mod 2**2000, or three (x - a)**2 - 2**1801 with
+# no root, are refused after about 0.1 s, though uncharged they would end
+# in 0.3 and 0.08 s (Python 3.11, 2-core host).
 DOMAIN_LIMIT = 10**7
 WORK_BITS = 2000
 WORK_LIMIT = 9 * 10**9
@@ -99,8 +99,10 @@ def _roots_mod_p(g: list[int], p: int) -> list[int]:
     ``_scans`` picks the one measured to be cheaper of a scan of every
     residue, at O(p deg), and a split of gcd(g, t**p - t), at about
     O(deg**2 log p), so k = 1 with p near ``DOMAIN_LIMIT`` costs no scan
-    of p residues.  ``_split`` solves a line itself.
+    of p residues.  A line has its one root read off directly.
     """
+    if len(g) == 2:
+        return _fp_split(g, p)
     return (_scan_roots_mod_p if _scans(p, len(g) - 1) else _gcd_roots_mod_p)(g, p)
 
 
@@ -172,7 +174,7 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _fp_split(h: list[int], p: int) -> list[int]:
-    """The roots of h, a product of distinct linear factors over F_p, p odd.
+    """The roots of h, a product of distinct linear factors over F_p; p odd past a line.
 
     gcd(h, (t + d)**((p-1)/2) - 1) keeps the roots r with r + d a nonzero
     square; d = 0, 1, 2, ... separates any two roots within a few tries.
@@ -185,90 +187,82 @@ def _fp_split(h: list[int], p: int) -> list[int]:
             return _fp_split(g, p) + _fp_split(_fp_divmod(h, g, p)[0], p)
 
 
-def _split(coeffs: list[int], p: int, k: int, modulus: int, r: int, j: int):
+def _taylor(g: list[int], t: int, n: int, modulus: int) -> list[int]:
+    """The first n coefficients of g(t + u) mod modulus, g and the result low first.
+
+    Each is the remainder of one synthetic division by u - t, so n must not
+    pass len(g).
+    """
+    out, high = [], g[::-1]
+    for _ in range(n):
+        acc, quotient = 0, []
+        for c in high:
+            acc = (acc * t + c) % modulus
+            quotient.append(acc)
+        out.append(quotient.pop())
+        high = quotient
+    return out
+
+
+def _node(p: int, k: int, r: int, j: int, s: int, g: list[int]):
     """One node of the tree: the ball r + p**j Z, with 0 <= r < p**j.
 
-    Returns None when f vanishes mod p**k on the whole ball; otherwise the
-    balls (r', j') inside it that may still hold a root.  ``coeffs`` are
-    f's residues mod p**k, leading one first.  Write f(r + p**j t) as
-    sum T_i p**(ij) t**i with T_i = f^(i)(r)/i!, and let s be the least
-    valuation of those terms, capped at k.  Term i has valuation at least
-    i*j, so only the terms with i*j below k, and then no more than the
-    least valuation found so far, can reach s: each further T_i costs one
-    synthetic division, and a simple root needs two.  At j = 0, r = 0 and
-    the T_i are the residues themselves.  If s >= k, the ball is all
-    roots.  Otherwise a root t needs f(r + p**j t) / p**s = 0 mod p, and
-    that reduction g keeps only the terms of valuation s, low first.  A
-    nonzero constant g has no root, degree 2 and up goes to
-    ``_roots_mod_p``, and each root t gives the child r + t p**j one digit
-    deeper.  A line (c*t, or two terms) is solved past that digit: the
-    terms with i >= 2 have valuation at least 2j, so mod p**min(k, 2j)
-    f(r + p**j t) / p**s is a0 + a1 t, with a0 = T_0 / p**s and
-    a1 = T_1 p**j / p**s a unit, and every root of f in the ball lies in
-    the one child r + t* p**j of depth j + m, where t* = -a0 / a1 mod
-    p**m and m = max(1, min(k, 2j) - s).  Down a simple root s = j, so
-    the depth goes j -> min(k, 2j) and the root costs O(log k) nodes.
+    ``g`` is f(r + p**j t) / p**s mod p**(k - s), low first.  Returns the
+    balls (r', j') inside this one on which f vanishes mod p**k, and the
+    children (r', j + 1, s, g') that may still hold roots.  g is first
+    divided by the largest power of p that divides every coefficient; if
+    it vanishes mod p**(k - s), so does f on the whole ball.  Otherwise a
+    root must reduce to a root t of g mod p.  Where g'(t) is a unit, g has
+    exactly one root mod p**(k - s) above t, found in place by Newton's
+    method, and its ball r + p**j t* has depth j + k - s.  Elsewhere the
+    child at t carries g(t + p u), whose coefficient i is g's i-th Taylor
+    coefficient at t times p**i.  g's coefficient i is divisible by
+    p**(ij - s), so that one vanishes once i (j + 1) >= k, and only the
+    first two, which give g(t) and g'(t), are computed past that.
     """
-    bound, s, g = k - 1, k, []
-    t0, w0 = 0, k
-    for i in range(len(coeffs)):
-        w = i * j
-        if w > bound:
-            break
-        if j:
-            quotient, t = [], 0
-            for c in coeffs:
-                t = (t * r + c) % modulus
-                quotient.append(t)
-            t = quotient.pop()
-            coeffs = quotient
+    common, power = math.gcd(*g), 1
+    if not common:
+        return [(r, j)], []
+    while not common % (power * p):
+        power *= p
+        s += 1
+    if power > 1:
+        g = [c // power for c in g]
+    reduced = [c % p for c in g]
+    while not reduced[-1]:
+        reduced.pop()
+    if len(reduced) < 2:
+        return [], []
+    modulus, pj = p ** (k - s), p**j
+    n = min(len(g), max(2, (k - 1) // (j + 1) + 1))
+    balls, children = [], []
+    for t in _roots_mod_p(reduced, p):
+        shifted = _taylor(g, t, n, modulus)
+        value, slope = shifted[0], shifted[1]
+        if slope % p:
+            while value:
+                t = (t - value * pow(slope, -1, modulus)) % modulus
+                value, slope = _taylor(g, t, 2, modulus)
+            balls.append((r + t * pj, j + k - s))
         else:
-            t = coeffs[-1 - i]
-        if not t:
-            continue
-        while w <= bound and not t % p:
-            t //= p
-            w += 1
-        if w <= bound:
-            if w < s:
-                if not i:
-                    t0, w0 = t, w  # T_0 = t0 p**w0, for a0 past one digit
-                s = bound = w
-                g = []
-            g += [0] * (i - len(g))
-            g.append(t % p)
-    if s == k:
-        return None
-    if len(g) < 2:
-        return []
-    pj = p**j
-    if len(g) > 2:
-        # a loop, not a comprehension, whose frame a dense node would pay for
-        children = []
-        for d in _roots_mod_p(g, p):
-            children.append((r + d * pj, j + 1))
-        return children
-    m = min(k, 2 * j) - s
-    if m < 2:
-        return [(r + -g[0] * pow(g[1], -1, p) % p * pj, j + 1)]
-    # 2j > s stopped the loop at i = 2, so t is T_1 / p**(s - j), all of a1
-    pm = p**m
-    return [(r + -t0 * pow(p, w0 - s, pm) * pow(t, -1, pm) % pm * pj, j + m)]
+            g_t = [c * p**i % modulus for i, c in enumerate(shifted)]
+            children.append((r + t * pj, j + 1, s, g_t))
+    return balls, children
 
 
 def _root_tree(f: PadicPoly, k: int) -> list[tuple[int, int]]:
     """The balls r + p**j Z on which f vanishes mod p**k, disjoint, in no order.
 
-    Starting from all of Z_p, each ball is either kept whole, when f
-    vanishes on it mod p**k, or replaced by the balls inside it that
-    ``_split`` cannot rule out.  A ball of radius p**-k is one residue, on
-    which f either vanishes or does not, so the tree stops by depth k.  A
-    reduced line jumps to depth j + max(1, min(k, 2j) - s), so a simple
-    root costs O(log k) nodes; a multiple root reduces to degree 2 or more
-    and goes down one digit per node until its ball vanishes whole.  Each
-    coefficient is reduced mod p**k once per call; the zero polynomial,
-    with no coefficients, is the constant 0.  The work model prices the
-    root's split and each node below it; :class:`DomainTooLarge` is raised
+    Starting from all of Z_p, with g = f, each node (``_node``) keeps its
+    ball whole when f vanishes on it mod p**k, lifts each simple root of
+    its g mod p in place to the one ball above it, and pushes a child
+    only at a multiple root mod p.  So a simple root costs no node past
+    the one where it first reduces to a simple root, and a multiple root
+    one node per level until its ball vanishes whole.  The child's ball
+    is one digit deeper, so the tree stops by depth k.  Each coefficient
+    is reduced mod p**k once per call; the zero polynomial, with no
+    coefficients, is the constant 0.  The work model prices the root's
+    split and each node below it; :class:`DomainTooLarge` is raised
     before the tree runs when k - 1 nodes and the split pass
     ``WORK_LIMIT``, and at the node whose charge takes the sum past it.
     """
@@ -278,19 +272,16 @@ def _root_tree(f: PadicPoly, k: int) -> list[tuple[int, int]]:
     if (k - 1) * unit + split > WORK_LIMIT:
         raise DomainTooLarge(f"degree {d} at {p}^{k} is past the work bound")
     budget = WORK_LIMIT - split
-    coeffs = [_residue(c, modulus) for c in reversed(f.coeffs)] or [0]
-    balls, stack = [], [(0, 0)]
+    balls, stack = [], [(0, 0, 0, [_residue(c, modulus) for c in f.coeffs])]
     while stack:
-        r, j = stack.pop()
+        r, j, s, g = stack.pop()
         if j:
             budget -= unit
             if budget < 0:
                 raise DomainTooLarge(f"the root tree at {p}^{k} ran past the work bound")
-        children = _split(coeffs, p, k, modulus, r, j)
-        if children is None:
-            balls.append((r, j))
-        else:
-            stack += children
+        found, children = _node(p, k, r, j, s, g)
+        balls += found
+        stack += children
     return balls
 
 
@@ -309,7 +300,7 @@ def enumerate_roots(f: PadicPoly, k: int) -> OracleReport:
     :func:`padic.hensel.unique_in_neighborhood` does.
     """
     p = f.p
-    if k < 1:
+    if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
     if k * math.log2(p) > WORK_BITS:
         raise DomainTooLarge(f"{p}^{k} is past the work bound of {WORK_BITS} bits")
@@ -347,7 +338,7 @@ def crosscheck_arith(p, k: int, trials: int, rng_seed: int = 0) -> CrosscheckRep
     path.
     """
     p = check_prime(p)
-    if k < 1:
+    if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
     modulus = p**k
     prec = k + CROSSCHECK_GUARD

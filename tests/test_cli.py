@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import double_root_times_cofactor, time_limit
-from padic import InternalBoundViolation, cli, lift, parse_poly, valuation
+from padic import InternalBoundViolation, cli, lift, oracle, parse_poly, valuation
 from padic.hensel import certificate_from_record
 
 
@@ -254,6 +254,16 @@ def test_oracle_refuses_a_high_degree_mod_a_large_prime_at_once(capsys):
 def test_crosscheck(capsys):
     code, out, _ = run_cli(capsys, "crosscheck", "-p", "5", "-k", "4", "--trials", "50")
     assert code == 0 and "mismatches: 0" in out
+
+
+def test_crosscheck_exits_1_on_a_mismatch(capsys, monkeypatch):
+    def one_mismatch(p, k, trials, rng_seed):
+        return oracle.CrosscheckReport(p, k, trials, 1, ("1 add 2: got 4, expected 3",))
+
+    monkeypatch.setattr(cli.oracle, "crosscheck_arith", one_mismatch)
+    code, out, _ = run_cli(capsys, "crosscheck", "-p", "5", "-k", "4", "--trials", "1")
+    assert code == 1
+    assert out == "trials: 1\nchecked: 1\nmismatches: 1\n"
 
 
 def test_bad_poly_exit_code(capsys):

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import padic.oracle
@@ -81,7 +81,7 @@ def _assert_refused_at_the_work_bound(f, k, nodes):
     unit = k * lg * (16 * d + k)
     budget = padic.oracle.WORK_LIMIT - padic.oracle.SPLIT_SCALE * d * min(p, d * lg) * lg
     assert (k - 1) * unit < budget  # the check before the tree admits f
-    with time_limit(30), pytest.raises(DomainTooLarge, match=f"{p}\\^{k} ran past the work bound"):
+    with time_limit(0.5), pytest.raises(DomainTooLarge, match=f"{p}\\^{k} ran past the work bound"):
         enumerate_roots(f, k)
     assert budget // unit <= len(nodes) - 1 <= budget // unit + 1
 
@@ -89,7 +89,9 @@ def _assert_refused_at_the_work_bound(f, k, nodes):
 def test_several_double_roots_are_refused_while_the_tree_runs(monkeypatch):
     # each double root costs one node per level and passes the check before
     # the tree alone; seven of them mod 2^2000 ran 12 s before the tree
-    # charged its nodes, and then exited 7 only for the 2^1000 roots of each
+    # charged its nodes, and then exited 7 only for the 2^1000 roots of each;
+    # the charge refused them after 2.6 s while each node re-derived f's
+    # Taylor terms from its k-digit residues
     rng = random.Random(14)
     a = [rng.getrandbits(2000) for _ in range(7)]
     f = PadicPoly(2, _product((x * x, -2 * x, 1) for x in a))
@@ -99,7 +101,8 @@ def test_several_double_roots_are_refused_while_the_tree_runs(monkeypatch):
 def test_several_root_free_chains_are_refused_while_the_tree_runs(monkeypatch):
     # (x - a)^2 - 2^1801 has no root mod 2^2000, but its ball around a
     # reduces to a double root down to depth 900; three such factors
-    # printed no roots after 3.3 s before the tree charged its nodes
+    # printed no roots after 3.3 s before the tree charged its nodes, and
+    # were refused after 1.9 s while each node re-derived f's Taylor terms
     rng = random.Random(3)
     a = [rng.getrandbits(2000) for _ in range(3)]
     f = PadicPoly(2, _product((x * x - 2**1801, -2 * x, 1) for x in a))
@@ -107,7 +110,8 @@ def test_several_root_free_chains_are_refused_while_the_tree_runs(monkeypatch):
 
 
 def test_an_exponent_below_one_is_refused():
-    for k in (0, -1):
+    # a float or a string once reached pow or PadicNumber and raised TypeError
+    for k in (0, -1, 2.0, 2.5, "3", None):
         with pytest.raises(ValueError, match="k must be a positive integer"):
             enumerate_roots(parse_poly("x", 5), k)
         with pytest.raises(ValueError, match="k must be a positive integer"):
@@ -266,12 +270,12 @@ def _count_nodes(monkeypatch):
     """The (r, j) of every ball the tree expands, in order."""
     nodes = []
 
-    def counting(coeffs, p, k, modulus, r, j):
+    def counting(p, k, r, j, s, g):
         nodes.append((r, j))
-        return split(coeffs, p, k, modulus, r, j)
+        return node(p, k, r, j, s, g)
 
-    split = padic.oracle._split
-    monkeypatch.setattr(padic.oracle, "_split", counting)
+    node = padic.oracle._node
+    monkeypatch.setattr(padic.oracle, "_node", counting)
     return nodes
 
 
@@ -356,6 +360,15 @@ def test_tree_agrees_with_a_scan_on_repeated_roots(case):
     assert enumerate_roots(PadicPoly(p, coeffs), k).roots == _scan(coeffs, p, k)
 
 
+def _terms(cs, p, k, r, j):
+    """The coefficients of f(r + p^j t) mod p^k, low first, by the binomial theorem."""
+    return [
+        sum(math.comb(n, i) * c * r ** (n - i) for n, c in enumerate(cs) if n >= i)
+        * p ** (i * j) % p**k
+        for i in range(len(cs))
+    ]
+
+
 def _digit_tree(coeffs, p, k):
     """The balls of a tree that goes down one digit per node, by plain integers.
 
@@ -368,11 +381,7 @@ def _digit_tree(coeffs, p, k):
     balls, stack = [], [(0, 0)]
     while stack:
         r, j = stack.pop()
-        terms = [
-            sum(math.comb(n, i) * c * r ** (n - i) for n, c in enumerate(cs) if n >= i)
-            * p ** (i * j) % m
-            for i in range(len(cs))
-        ]
+        terms = _terms(cs, p, k, r, j)
         s = min((_nu(t, p) for t in terms if t), default=k)
         if s >= k:
             balls.append((r, j))
@@ -392,21 +401,52 @@ def test_the_jumping_tree_finds_the_balls_of_a_digit_by_digit_tree(case):
 
 def test_a_simple_root_costs_log_k_nodes(monkeypatch):
     # the tree once went down each root of x^2 - 6 over 5 one digit per
-    # node: 2001 nodes and ~0.8 s at k = 1000
+    # node: 2001 nodes and ~0.8 s at k = 1000; then 23 nodes, its lines
+    # jumping to depth min(k, 2j); now each simple root mod 5 is lifted
+    # inside the root node
     nodes = _count_nodes(monkeypatch)
     with time_limit(0.15):
         balls = padic.oracle._root_tree(parse_poly("x^2 - 6", 5), 1000)
-    assert len(nodes) <= 25
+    assert nodes == [(0, 0)]
     m = 5**1000
     assert sorted(r % 5 for r, _ in balls) == [1, 4]
     assert all(j == 1000 and (r * r - 6) % m == 0 for r, j in balls)
+
+
+def _deepest_k(p):
+    """The largest k with k log2(p) within the oracle's WORK_BITS."""
+    return int(padic.oracle.WORK_BITS / math.log2(p))
+
+
+@st.composite
+def _deep_double_roots(draw):
+    """(p, k, a) with k up to the largest the oracle takes and a any residue mod p^k."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    k = draw(st.integers(1, _deepest_k(p)))
+    return p, k, draw(st.integers(0, p**k - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_deep_double_roots())
+@example((2, 2000, 3**1261))
+@example((7, 712, 5**861))
+def test_a_double_root_times_a_unit_is_one_ball_at_any_depth(case):
+    # x^p - x + 1 is 1 at every residue mod p, so the roots of f mod p^k are
+    # the x with nu(x - a) >= ceil(k/2); at p = 2 and k = 2000 the tree
+    # took 0.93 s while each node re-derived f's Taylor terms at k digits
+    p, k, a = case
+    f = _product([(a * a, -2 * a, 1), [1, -1] + [0] * (p - 2) + [1]])
+    half = -(-k // 2)
+    with time_limit(0.25):
+        balls = padic.oracle._root_tree(PadicPoly(p, f), k)
+    assert balls == [(a % p**half, half)]
 
 
 @st.composite
 def _deep_lifts(draw):
     """(f, a, k, e, m): f = sum b_i (x - a)^i with nu(b_0) = m, nu(b_1) = e, m > 2e."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
-    k = draw(st.integers(200, 400))
+    k = draw(st.integers(200, _deepest_k(p)))
     e = draw(st.integers(0, 2))
     m = draw(st.integers(2 * e + 1, 2 * e + 20))
     a = draw(st.integers(0, p**3))
@@ -424,6 +464,7 @@ def _deep_lifts(draw):
 @settings(max_examples=100, deadline=None)
 @given(_deep_lifts())
 def test_lift_agrees_with_the_tree_at_k_in_the_hundreds(case):
+    # k reaches the largest the oracle takes, 2000 at p = 2
     # the roots mod p^k with nu(x - a) > e are z + p^(k - e) Z for lift's
     # root z: exactly one ball of the tree meets that disc, and it is that
     # ball, a single residue when e = 0
@@ -517,12 +558,12 @@ def test_a_polynomial_of_the_largest_degree_finishes_in_bounded_time():
 
 
 def _plain_split(coeffs, p, k, r, j):
-    """What one node of the tree must return, by a plain scan of its ball.
+    """The digits of a node's ball that may hold roots, by a plain scan of the ball.
 
     s is the least valuation of f mod p**k over r + p**j Z; None when it
     reaches k, and otherwise the digits t with p**(s + 1) dividing
-    f(r + p**j t).  This is ``_split``'s answer whenever its reduced
-    polynomial has degree below p, so it vanishes at some digit.
+    f(r + p**j t).  These are the roots of the node's reduction mod p
+    whenever it has degree below p, so it vanishes at some digit.
     """
     m = p**k
 
@@ -543,42 +584,53 @@ def _roots_in_ball(coeffs, p, k, r, j, depth):
                    if sum(c * x**i for i, c in enumerate(coeffs)) % m == 0})
 
 
-@pytest.mark.parametrize("coeffs, p, k, r, j, want, through_roots_mod_p", [
+@pytest.mark.parametrize("coeffs, p, k, r, j, want, scans", [
     # a nonzero constant: f(0 + 5t) = -6 + 25t^2 reduces to 4, no child
     ((-6, 0, 1), 5, 3, 0, 1, [], False),
-    # c*t: x + 25 at the root ball has T_0 = 25 above T_1 = 1, child 0
-    ((25, 1), 5, 3, 0, 0, [(0, 1)], False),
+    # c*t: x + 25 at the root ball reduces to t, whose one root lifts in place
+    ((25, 1), 5, 3, 0, 0, [(100, 3)], False),
     # a line with both terms: f(1 + 5t) = -5 + 10t + 25t^2 reduces to 4 + 2t
-    ((-6, 0, 1), 5, 3, 1, 1, [(16, 2)], False),
-    # degree 2: x^2 - 6 at the root ball reduces to t^2 + 4
-    ((-6, 0, 1), 5, 3, 0, 0, [(1, 1), (4, 1)], True),
+    ((-6, 0, 1), 5, 3, 1, 1, [(16, 3)], False),
+    # degree 2: x^2 - 6 at the root ball reduces to t^2 + 4, two simple roots
+    ((-6, 0, 1), 5, 3, 0, 0, [(16, 3), (109, 3)], True),
     # the s >= k collapse: (x - 3)^2 vanishes mod 2^6 on 3 + 2^3 Z
     ((9, -6, 1), 2, 6, 3, 3, None, False),
-    # a simple root jumps to depth 2j: f(16 + 25t) = 250 + 800t + 625t^2
-    # is 25 (10 + 32t) mod 5^4, so t = 20 mod 25 (T_0 lies above s = 2)
-    ((-6, 0, 1), 5, 6, 16, 2, [(516, 4)], False),
+    # a simple root below the root ball: f(16 + 25t) = 250 + 800t + 625t^2
+    # is 25 (10 + 32t) mod 5^6, lifted mod 5^4 to depth 2 + 4
+    ((-6, 0, 1), 5, 6, 16, 2, [(4891, 6)], False),
     # nu(f') = 1: f(23 + 32t) = 512 + 1472t + 1024t^2 is 64 (8 + 23t) mod
-    # 2^10, so t = 8 mod 16 and the depth goes 5 -> 2*5 - 1
-    ((-17, 0, 1), 2, 12, 23, 5, [(279, 9)], False),
+    # 2^12, lifted mod 2^6 to depth 5 + 6, which holds both roots mod 2^12
+    ((-17, 0, 1), 2, 12, 23, 5, [(279, 11)], False),
+    # a double root: f(1 + 2t) = 4 (t - 1)^2 reduces to t^2 + 1, and the
+    # digit 1 is a child with g(1 + 2u) = 4u^2 mod 2^4
+    ((9, -6, 1), 2, 6, 1, 1, [(3, 2)], True),
 ])
 def test_each_shape_of_a_reduced_node_matches_a_plain_scan(
-        monkeypatch, coeffs, p, k, r, j, want, through_roots_mod_p):
+        monkeypatch, coeffs, p, k, r, j, want, scans):
     calls = []
 
-    def recording(g, q):
-        calls.append(list(g))
-        return roots_mod_p(g, q)
+    def recording(q, degree):
+        calls.append(degree)
+        return choose(q, degree)
 
-    roots_mod_p = padic.oracle._roots_mod_p
-    monkeypatch.setattr(padic.oracle, "_roots_mod_p", recording)
-    m = p**k
-    residues = [c % m for c in reversed(coeffs)]  # leading one first, as the tree keeps them
-    got = padic.oracle._split(residues, p, k, m, r, j)
-    depth = want[0][1] if want else j + 1
-    if depth == j + 1:
-        digits = _plain_split(coeffs, p, k, r, j)
-        assert want == (digits if digits is None else [(r + t * p**j, j + 1) for t in digits])
-    else:
-        assert want == [(x, depth) for x in _roots_in_ball(coeffs, p, k, r, j, depth)]
-    assert (got if got is None else sorted(got)) == want
-    assert bool(calls) == through_roots_mod_p
+    choose = padic.oracle._scans
+    monkeypatch.setattr(padic.oracle, "_scans", recording)
+    balls, children = padic.oracle._node(p, k, r, j, 0, _terms(coeffs, p, k, r, j))
+    assert bool(calls) == scans  # a line is solved without a scan or a gcd
+    digits = _plain_split(coeffs, p, k, r, j)
+    if want is None:
+        assert digits is None and (balls, children) == ([(r, j)], [])
+        return
+    assert sorted(balls + [(x, depth) for x, depth, _, _ in children]) == want
+    # every digit that may hold a root is a child or holds one ball ...
+    assert sorted(x % p ** (j + 1) for x, _ in want) == [r + t * p**j for t in digits]
+    for x, depth in balls:
+        # ... which is every root in that digit's ball
+        assert _roots_in_ball(coeffs, p, k, x % p ** (j + 1), j + 1, k) == list(
+            range(x, p**k, p**depth))
+    for x, depth, s, g in children:
+        # a child carries g(u) = f(x + p^depth u) / p^s mod p^(k - s)
+        assert depth == j + 1
+        for u in range(p ** (k - s)):
+            assert _horner(_terms(coeffs, p, k, x, depth), u, p**k) == (
+                p**s * _horner(g, u, p ** (k - s)))

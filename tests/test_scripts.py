@@ -1,7 +1,7 @@
 """Each script under scripts/ runs to exit 0 at its smallest arguments.
 
 The scripts import private names of the library (``_scans``,
-``_divmod``, ``_DIVMOD_BITS``), so a rename there breaks them silently
+``_divmod``, ``_DIVMOD_BITS``, ``_node``), so a rename there breaks them silently
 unless they run here.
 """
 
@@ -22,6 +22,7 @@ SCRIPTS = {
     "large_k_lift.py": ["--cases", "5,x^2-6,1,50", "--bits", "4000", "--reps", "1"],
     "lift_vs_oracle.py": ["--primes", "3", "--trials", "2", "-k", "3"],
     "root_split_timings.py": ["--points", "101,3", "--polys", "1", "--reps", "1"],
+    "tree_depth.py": ["--bits", "8", "--reps", "1"],
 }
 
 
