@@ -10,8 +10,10 @@ Prints one JSON object per case, with the best of ``--reps`` calls of
   the root node;
 * the seven double roots mod 2^bits of
   ``tests/test_oracle.py::test_several_double_roots_are_refused_while_the_tree_runs``,
-  refused by the per-node charge at bits = 2000: the time until the
-  refusal, or until the balls where the work bound admits them.
+  refused by the tree's charge at bits = 2000: the time until the
+  refusal, or until the balls where the work bound admits them;
+* x^1008 - 1 over 1009 at k = bits/10, whose 1008 simple roots are
+  lifted inside the root node until the charge refuses them.
 
     python scripts/tree_depth.py
     python scripts/tree_depth.py --bits 400 --reps 1
@@ -77,6 +79,7 @@ def main():
     roots = [rng.getrandbits(bits) for _ in range(7)]
     run("seven double roots", PadicPoly(2, product((x * x, -2 * x, 1) for x in roots)),
         bits, reps)
+    run("x^1008 - 1", parse_poly("x^1008 - 1", 1009), max(1, bits // 10), reps)
 
 
 if __name__ == "__main__":

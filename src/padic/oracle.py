@@ -10,15 +10,17 @@ g(t) = f(r + p**j t) / p**s mod p**(k - s), s as large as p divides.  A
 ball on which g vanishes is kept whole, so a double root or the zero
 polynomial costs one ball rather than one node per residue.  A simple
 root of g mod p has exactly one root of g above it, which Newton's method
-finds inside the node; only a multiple root mod p gets a child, one digit
-deeper, whose g is g(t + p u).  So a simple root costs no node of its own
-and a multiple root one node per level until its ball vanishes.  The
-Newton steps read g and g' off the tree's own Taylor expansion of g, and
+finds inside the node, doubling its digits per step; only a multiple
+root mod p gets a child, one digit deeper, whose g is g(t + p u).  So a
+simple root costs no node of its own and a multiple root one node per
+level until its ball vanishes.  The Newton steps read g and g' off the
+tree's own Taylor expansion of g, and
 nothing in this needs Hensel's hypothesis on f or shares code or state
 with the lifter, so it is exact for any p-integral f, and its work grows
 with the number of balls rather than with p**k.  ``enumerate_roots``
 refuses, with ``DomainTooLarge``, a k log2(p) above ``WORK_BITS``, a
-degree or a tree whose modelled work passes ``WORK_LIMIT``, and balls
+degree or a tree whose modelled work passes ``WORK_LIMIT``, charged per
+Newton step and per child as the tree runs, and balls
 that hold more than ``DOMAIN_LIMIT`` residues.  The tuple of roots is
 built from the balls at the end.  Ring operations are cross-checked
 against plain rational arithmetic.  The result is deterministic and
@@ -48,25 +50,28 @@ from .valuation import check_prime
 # enumerate_roots expands its balls into at most DOMAIN_LIMIT residues, and
 # takes on k log2(p) up to WORK_BITS.  That bound no longer guards a node's
 # own cost: (x - a)**2 mod 2**2000, one node per level, ends in 0.02 s.  It
-# bounds the per-node unit below, which grows with k log2(p) but prices a
-# node's residues linearly in their bits and was fit at 2000 bits at most
-# (a FOUND line in CHANGES.md).  The tree also refuses a degree d with
-# (k - 1) k log2(p) (16 d + k) above WORK_LIMIT, where one unit is a node
-# below the root: fit when each such node of (x - a)**2 h, deg h = d - 2,
-# made 3 synthetic divisions of d + 1 residues mod p**k, at 1.7e-10 s per
-# unit at p = 2, so the limit was about 1.5 s.  The root's split mod p adds
+# bounds the work unit below, which grows with k log2(p) but prices
+# residues linearly in their bits and was fit at 2000 bits at most (a
+# FOUND line in CHANGES.md).  The tree also refuses a degree d with
+# (k - 1) k log2(p) (16 d + k) above WORK_LIMIT, where one unit was fit
+# when each node below the root of (x - a)**2 h, deg h = d - 2, made 3
+# synthetic divisions of d + 1 residues mod p**k, at 1.7e-10 s per unit
+# at p = 2, so the limit was about 1.5 s.  The root's split mod p adds
 # SPLIT_SCALE d min(p, d log2(p)) log2(p): a scan of p residues or a gcd
 # of about d log2(p) steps, each of d steps on log2(p)-bit residues.  On
 # random dense f at k = 1 one unit of that took 30-52 of the units above
 # at p = 101 to 10007 (scans, degree 1000-10000) and 41-84 at p = 99991
 # to 2**61 - 1 (gcds, degree 25-1000); degree 200 at 2**61 - 1 took 1.6 s,
-# 82 % of the limit.  The tree charges each node below the root one unit
-# as it runs.  A double root steps one level per node for about k/2
-# nodes, within the k - 1 the check before the tree counts; several
-# chains stop once their nodes pass the limit, also chains that end in no
-# root: seven double roots mod 2**2000, or three (x - a)**2 - 2**1801 with
-# no root, are refused after about 0.1 s, though uncharged they would end
-# in 0.3 and 0.08 s (Python 3.11, 2-core host).
+# 82 % of the limit.  The tree charges as it runs, before the work is
+# done: a child one unit per three coefficients of its g, at least one,
+# and a lift one unit per Newton step, at the root node too.  A double
+# root of (x - a)**2 steps one level per node for about k/2 units,
+# within the k - 1 the check before the tree counts; several chains stop
+# once their charges pass the limit, also chains that end in no root:
+# seven double roots mod 2**2000, or three (x - a)**2 - 2**1801 with no
+# root, are refused after 0.06 and 0.02 s, though uncharged they would
+# end in 0.3 and 0.08 s, and the 1008 simple roots of x**1008 - 1 mod
+# 1009**200 after 0.8-1.1 s (Python 3.11, 2-core host).
 DOMAIN_LIMIT = 10**7
 WORK_BITS = 2000
 WORK_LIMIT = 9 * 10**9
@@ -107,7 +112,7 @@ def _roots_mod_p(g: list[int], p: int) -> list[int]:
 
 
 def _scans(p: int, degree: int) -> bool:
-    return p <= max(_SCAN_LIMIT, degree * p.bit_length())
+    return p <= _SCAN_LIMIT or p <= degree * p.bit_length()
 
 
 def _scan_roots_mod_p(g: list[int], p: int) -> list[int]:
@@ -187,24 +192,24 @@ def _fp_split(h: list[int], p: int) -> list[int]:
             return _fp_split(g, p) + _fp_split(_fp_divmod(h, g, p)[0], p)
 
 
-def _taylor(g: list[int], t: int, n: int, modulus: int) -> list[int]:
-    """The first n coefficients of g(t + u) mod modulus, g and the result low first.
+def _taylor(g: list[int], t: int, n: int, modulus: int, step: int) -> list[int]:
+    """The first n coefficients of g(t + step u) mod modulus, g and the result low first.
 
-    Each is the remainder of one synthetic division by u - t, so n must not
-    pass len(g).
+    Coefficient i is the remainder of the i-th synthetic division by u - t,
+    times step**i, so n must not pass len(g).
     """
-    out, high = [], g[::-1]
+    out, high, scale = [], g[::-1], 1
     for _ in range(n):
         acc, quotient = 0, []
         for c in high:
             acc = (acc * t + c) % modulus
             quotient.append(acc)
-        out.append(quotient.pop())
-        high = quotient
+        out.append(quotient.pop() * scale % modulus)
+        high, scale = quotient, scale * step
     return out
 
 
-def _node(p: int, k: int, r: int, j: int, s: int, g: list[int]):
+def _node(p: int, k: int, r: int, j: int, s: int, g: list[int], charge):
     """One node of the tree: the ball r + p**j Z, with 0 <= r < p**j.
 
     ``g`` is f(r + p**j t) / p**s mod p**(k - s), low first.  Returns the
@@ -212,20 +217,22 @@ def _node(p: int, k: int, r: int, j: int, s: int, g: list[int]):
     children (r', j + 1, s, g') that may still hold roots.  g is first
     divided by the largest power of p that divides every coefficient; if
     it vanishes mod p**(k - s), so does f on the whole ball.  Otherwise a
-    root must reduce to a root t of g mod p.  Where g'(t) is a unit, g has
-    exactly one root mod p**(k - s) above t, found in place by Newton's
-    method, and its ball r + p**j t* has depth j + k - s.  Elsewhere the
-    child at t carries g(t + p u), whose coefficient i is g's i-th Taylor
-    coefficient at t times p**i.  g's coefficient i is divisible by
-    p**(ij - s), so that one vanishes once i (j + 1) >= k, and only the
-    first two, which give g(t) and g'(t), are computed past that.
+    root must reduce to a root t of g mod p, and with one digit left,
+    s = k - 1, each such t is a ball of depth j + 1.  Where g'(t) is a
+    unit, g has exactly one root mod p**(k - s) above t, found in place by
+    Newton's method, each step doubling its digits, and its ball
+    r + p**j t* has depth j + k - s.  Elsewhere the child at t carries
+    g(t + p u), whose coefficient i is g's i-th Taylor coefficient at t
+    times p**i.  g's coefficient i is divisible by p**(ij - s), so that
+    one vanishes once i (j + 1) >= k and is not computed.  ``charge(n)``
+    is called with the units of work before each Newton step and each
+    child's shift.
     """
     common, power = math.gcd(*g), 1
     if not common:
         return [(r, j)], []
     while not common % (power * p):
-        power *= p
-        s += 1
+        power, s = power * p, s + 1
     if power > 1:
         g = [c // power for c in g]
     reduced = [c % p for c in g]
@@ -233,20 +240,29 @@ def _node(p: int, k: int, r: int, j: int, s: int, g: list[int]):
         reduced.pop()
     if len(reduced) < 2:
         return [], []
-    modulus, pj = p ** (k - s), p**j
-    n = min(len(g), max(2, (k - 1) // (j + 1) + 1))
+    if s == k - 1:  # one digit left: every root mod p is a ball
+        return [(r + t * p**j, j + 1) for t in _roots_mod_p(reduced, p)], []
     balls, children = [], []
     for t in _roots_mod_p(reduced, p):
-        shifted = _taylor(g, t, n, modulus)
-        value, slope = shifted[0], shifted[1]
-        if slope % p:
-            while value:
-                t = (t - value * pow(slope, -1, modulus)) % modulus
-                value, slope = _taylor(g, t, 2, modulus)
-            balls.append((r + t * pj, j + k - s))
+        # g'(t) mod p, by Horner inline: a double root's chain, oracle-sweep's
+        # median op, checks one root per node
+        slope = value = 0
+        for c in reversed(reduced):
+            slope, value = (slope * t + value) % p, (value * t + c) % p
+        if slope:
+            # Newton's method: t is a root mod p**digits, then mod p**(2 digits)
+            digits = 1
+            while digits < k - s:
+                charge(1)
+                digits = min(2 * digits, k - s)
+                m = p**digits
+                value, slope = _taylor(g, t, 2, m, 1)
+                t = (t - value * pow(slope, -1, m)) % m
+            balls.append((r + t * p**j, j + k - s))
         else:
-            g_t = [c * p**i % modulus for i, c in enumerate(shifted)]
-            children.append((r + t * pj, j + 1, s, g_t))
+            n = min(len(g), (k - 1) // (j + 1) + 1)
+            charge(-(-n // 3))
+            children.append((r + t * p**j, j + 1, s, _taylor(g, t, n, p ** (k - s), p)))
     return balls, children
 
 
@@ -262,9 +278,10 @@ def _root_tree(f: PadicPoly, k: int) -> list[tuple[int, int]]:
     is one digit deeper, so the tree stops by depth k.  Each coefficient
     is reduced mod p**k once per call; the zero polynomial, with no
     coefficients, is the constant 0.  The work model prices the root's
-    split and each node below it; :class:`DomainTooLarge` is raised
-    before the tree runs when k - 1 nodes and the split pass
-    ``WORK_LIMIT``, and at the node whose charge takes the sum past it.
+    split, each child's shift and each Newton step; :class:`DomainTooLarge`
+    is raised before the tree runs when k - 1 units and the split pass
+    ``WORK_LIMIT``, and at the charge that takes the sum past it, before
+    its work is done.
     """
     p, d, modulus = f.p, f.degree, f.p**k
     lg = math.log2(p)
@@ -272,14 +289,16 @@ def _root_tree(f: PadicPoly, k: int) -> list[tuple[int, int]]:
     if (k - 1) * unit + split > WORK_LIMIT:
         raise DomainTooLarge(f"degree {d} at {p}^{k} is past the work bound")
     budget = WORK_LIMIT - split
+
+    def charge(units):
+        nonlocal budget
+        budget -= units * unit
+        if budget < 0:
+            raise DomainTooLarge(f"the root tree at {p}^{k} ran past the work bound")
+
     balls, stack = [], [(0, 0, 0, [_residue(c, modulus) for c in f.coeffs])]
     while stack:
-        r, j, s, g = stack.pop()
-        if j:
-            budget -= unit
-            if budget < 0:
-                raise DomainTooLarge(f"the root tree at {p}^{k} ran past the work bound")
-        found, children = _node(p, k, r, j, s, g)
+        found, children = _node(p, k, *stack.pop(), charge)
         balls += found
         stack += children
     return balls
@@ -292,9 +311,10 @@ def enumerate_roots(f: PadicPoly, k: int) -> OracleReport:
     or the degree d makes (k - 1) k log2(p) (16 d + k), plus the root's
     split ``SPLIT_SCALE`` d min(p, d log2(p)) log2(p), exceed
     ``WORK_LIMIT``, both before the tree runs; when the tree, charged
-    k log2(p) (16 d + k) per node below the root, runs the charges plus
-    the split past ``WORK_LIMIT``, as several multiple roots or close
-    root pairs can, with few roots or none; or when its balls hold more
+    k log2(p) (16 d + k) per Newton step and per three coefficients of a
+    child's shift, runs the charges plus the split past ``WORK_LIMIT``,
+    as several multiple roots, close root pairs or many simple roots can,
+    with few roots or none; or when its balls hold more
     than ``DOMAIN_LIMIT`` residues, before they are expanded.  To ask
     which roots lie in a ball, filter ``roots``, as
     :func:`padic.hensel.unique_in_neighborhood` does.

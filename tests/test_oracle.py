@@ -74,16 +74,16 @@ def _product(factors):
     return f
 
 
-def _assert_refused_at_the_work_bound(f, k, nodes):
-    # the tree expands the root and then as many nodes as the budget left
-    # by the split pays for; the next one is refused before it splits
+def _assert_refused_at_the_work_bound(f, k, units, seconds=0.5):
+    # the tree charges as many units as the budget left by the split pays
+    # for; the charge that passes it is refused before its work is done
     p, d, lg = f.p, f.degree, math.log2(f.p)
     unit = k * lg * (16 * d + k)
     budget = padic.oracle.WORK_LIMIT - padic.oracle.SPLIT_SCALE * d * min(p, d * lg) * lg
     assert (k - 1) * unit < budget  # the check before the tree admits f
-    with time_limit(0.5), pytest.raises(DomainTooLarge, match=f"{p}\\^{k} ran past the work bound"):
+    with time_limit(seconds), pytest.raises(DomainTooLarge, match=f"{p}\\^{k} ran past the work bound"):
         enumerate_roots(f, k)
-    assert budget // unit <= len(nodes) - 1 <= budget // unit + 1
+    assert budget // unit <= sum(units) <= budget // unit + max(units)
 
 
 def test_several_double_roots_are_refused_while_the_tree_runs(monkeypatch):
@@ -95,7 +95,9 @@ def test_several_double_roots_are_refused_while_the_tree_runs(monkeypatch):
     rng = random.Random(14)
     a = [rng.getrandbits(2000) for _ in range(7)]
     f = PadicPoly(2, _product((x * x, -2 * x, 1) for x in a))
-    _assert_refused_at_the_work_bound(f, 2000, _count_nodes(monkeypatch))
+    units = []
+    _count_nodes(monkeypatch, units)
+    _assert_refused_at_the_work_bound(f, 2000, units)
 
 
 def test_several_root_free_chains_are_refused_while_the_tree_runs(monkeypatch):
@@ -106,7 +108,20 @@ def test_several_root_free_chains_are_refused_while_the_tree_runs(monkeypatch):
     rng = random.Random(3)
     a = [rng.getrandbits(2000) for _ in range(3)]
     f = PadicPoly(2, _product((x * x - 2**1801, -2 * x, 1) for x in a))
-    _assert_refused_at_the_work_bound(f, 2000, _count_nodes(monkeypatch))
+    units = []
+    _count_nodes(monkeypatch, units)
+    _assert_refused_at_the_work_bound(f, 2000, units)
+
+
+@pytest.mark.parametrize("f", ["x^1008 - 1", "x^1008 - 2x^504 + 1"])
+def test_many_roots_of_the_root_node_are_refused_while_the_tree_runs(monkeypatch, f):
+    # 1008 simple roots mod 1009, or 504 double ones: either passes the
+    # check before the tree, and the root node once lifted every simple
+    # root, or shifted g to 200 coefficients at every double root, for
+    # minutes before it charged anything
+    units = []
+    _count_nodes(monkeypatch, units)
+    _assert_refused_at_the_work_bound(parse_poly(f, 1009), 200, units, seconds=3)
 
 
 def test_an_exponent_below_one_is_refused():
@@ -266,13 +281,18 @@ def test_wide_frontiers_keep_exactly_the_roots_in_order():
     assert enumerate_roots(f, 22).roots == tuple(range(a % 2**11, 2**22, 2**11))
 
 
-def _count_nodes(monkeypatch):
-    """The (r, j) of every ball the tree expands, in order."""
+def _count_nodes(monkeypatch, units=None):
+    """The (r, j) of every ball the tree expands, in order; its charges go to ``units``."""
     nodes = []
 
-    def counting(p, k, r, j, s, g):
+    def counting(p, k, r, j, s, g, charge):
+        def charging(n):
+            if units is not None:
+                units.append(n)
+            charge(n)
+
         nodes.append((r, j))
-        return node(p, k, r, j, s, g)
+        return node(p, k, r, j, s, g, charging)
 
     node = padic.oracle._node
     monkeypatch.setattr(padic.oracle, "_node", counting)
@@ -615,12 +635,17 @@ def test_each_shape_of_a_reduced_node_matches_a_plain_scan(
 
     choose = padic.oracle._scans
     monkeypatch.setattr(padic.oracle, "_scans", recording)
-    balls, children = padic.oracle._node(p, k, r, j, 0, _terms(coeffs, p, k, r, j))
+    units = []
+    balls, children = padic.oracle._node(p, k, r, j, 0, _terms(coeffs, p, k, r, j), units.append)
     assert bool(calls) == scans  # a line is solved without a scan or a gcd
     digits = _plain_split(coeffs, p, k, r, j)
     if want is None:
-        assert digits is None and (balls, children) == ([(r, j)], [])
+        assert digits is None and (balls, children, units) == ([(r, j)], [], [])
         return
+    # a lift to depth j + m costs one unit per Newton step, ceil(log2 m),
+    # and a child one per three coefficients of its g
+    assert sum(units) == sum((depth - j - 1).bit_length() for _, depth in balls) + sum(
+        -(-len(g) // 3) for *_, g in children)
     assert sorted(balls + [(x, depth) for x, depth, _, _ in children]) == want
     # every digit that may hold a root is a child or holds one ball ...
     assert sorted(x % p ** (j + 1) for x, _ in want) == [r + t * p**j for t in digits]
